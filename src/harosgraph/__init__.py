@@ -11,7 +11,6 @@ cross-verifies the routes over Farey sequences.
 from .distribution import (
     DegreeDistribution,
     SweepPoint,
-    TruncationRow,
     base_probability,
     cf_form_distribution,
     degree_distribution_oracle,
@@ -20,12 +19,12 @@ from .distribution import (
     interval_form_value_real,
     sweep,
     sweep_row_count,
-    truncation_table,
 )
 from .errors import (
     AdjacencyError,
     AmbiguousBreakpointError,
     HarosError,
+    NotRationalError,
     ResourceLimitError,
 )
 from .exact import (
@@ -74,11 +73,11 @@ __all__ = [
     "HarosError",
     "HarosGraph",
     "IdentifiedDegreeMultiset",
+    "NotRationalError",
     "ResourceLimitError",
     "SweepPoint",
     "SymbolicPath",
     "TreeLevel",
-    "TruncationRow",
     "base_probability",
     "build",
     "cf_expand",
@@ -107,5 +106,4 @@ __all__ = [
     "symbolic_path",
     "tree_children",
     "tree_level",
-    "truncation_table",
 ]

@@ -23,7 +23,6 @@ from .distribution import (
     degree_distribution_oracle,
     interval_form_distribution,
     sweep,
-    sweep_row_count,
 )
 from .errors import ResourceLimitError
 from .exact import cf_expand, convergents
@@ -44,6 +43,7 @@ SWEEP_CSV_HEADER = (
     "x_num,x_den,x_float,k,"
     "p_thm1_num,p_thm1_den,p_thm2_num,p_thm2_den,p_oracle_num,p_oracle_den"
 )
+SWEEP_FIELDS = SWEEP_CSV_HEADER.split(",")
 
 _FRACTION_RE = re.compile(r"\s*(\d+)\s*/\s*(\d+)\s*\Z")
 
@@ -231,12 +231,6 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    rows = sweep_row_count(args.k, args.order)
-    if rows > args.max_rows:
-        raise ResourceLimitError(
-            f"sweep would emit {rows} rows; the cap is {args.max_rows} "
-            "(raise it with --max-rows)"
-        )
     out_path = args.out
     tmp_path = out_path + ".partial"
     count = 0
@@ -249,45 +243,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         with handle:
             if args.format == "csv":
                 writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(SWEEP_CSV_HEADER.split(","))
-                for point in sweep(args.k, args.order, row_cap=None):
-                    count += 1
-                    worst = max(worst, _spread(point))
-                    writer.writerow(
-                        [
-                            point.x.numerator,
-                            point.x.denominator,
-                            f"{point.x.numerator / point.x.denominator:.17g}",
-                            point.k,
-                            point.cf_form.numerator,
-                            point.cf_form.denominator,
-                            point.interval_form.numerator,
-                            point.interval_form.denominator,
-                            point.oracle.numerator,
-                            point.oracle.denominator,
-                        ]
-                    )
+                writer.writerow(SWEEP_FIELDS)
             else:
                 handle.write("[")
-                for point in sweep(args.k, args.order, row_cap=None):
-                    record = {
-                        "x_num": point.x.numerator,
-                        "x_den": point.x.denominator,
-                        "x_float": point.x.numerator / point.x.denominator,
-                        "k": point.k,
-                        "p_thm1_num": point.cf_form.numerator,
-                        "p_thm1_den": point.cf_form.denominator,
-                        "p_thm2_num": point.interval_form.numerator,
-                        "p_thm2_den": point.interval_form.denominator,
-                        "p_oracle_num": point.oracle.numerator,
-                        "p_oracle_den": point.oracle.denominator,
-                    }
-                    prefix = "\n" if count == 0 else ",\n"
-                    handle.write(prefix + json.dumps(record))
-                    count += 1
-                    worst = max(worst, _spread(point))
-                handle.write("\n]" if count else "]")
-                handle.write("\n")
+            for point in sweep(args.k, args.order, row_cap=args.max_rows):
+                worst = max(worst, _spread(point))
+                record = _sweep_record(point)
+                if args.format == "csv":
+                    record["x_float"] = f"{record['x_float']:.17g}"
+                    writer.writerow(record.values())
+                else:
+                    handle.write(("\n" if count == 0 else ",\n") + json.dumps(record))
+                count += 1
+            if args.format == "json":
+                handle.write("\n]\n" if count else "]\n")
         os.replace(tmp_path, out_path)
     except OSError as exc:
         if os.path.exists(tmp_path):
@@ -302,6 +271,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"max cross-method discrepancy: {_fmt(worst)}"
     )
     return EXIT_OK
+
+
+def _sweep_record(point) -> dict[str, object]:
+    """One sweep row keyed by the CSV field names; x_float is a float."""
+    x = point.x
+    return dict(
+        zip(
+            SWEEP_FIELDS,
+            (
+                x.numerator,
+                x.denominator,
+                x.numerator / x.denominator,
+                point.k,
+                point.cf_form.numerator,
+                point.cf_form.denominator,
+                point.interval_form.numerator,
+                point.interval_form.denominator,
+                point.oracle.numerator,
+                point.oracle.denominator,
+            ),
+        )
+    )
 
 
 def _spread(point) -> Fraction:

@@ -21,18 +21,18 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 from .errors import AmbiguousBreakpointError, ResourceLimitError
-from .exact import cf_expand, suffix_continuants
+from .exact import _unit_fraction, cf_expand, suffix_continuants
 from .graphs import build, identify_boundary, iter_identified_counts
-from .tree import BracketSide, _locate, iter_farey_pairs, locate_for_degree
+from .tree import BracketSide, _descend, iter_farey_pairs
 
 __all__ = [
     "DEFAULT_ROW_CAP",
     "DegreeDistribution",
     "SweepPoint",
-    "TruncationRow",
     "base_probability",
     "cf_form_distribution",
     "degree_distribution_oracle",
@@ -41,20 +41,23 @@ __all__ = [
     "interval_form_value_real",
     "sweep",
     "sweep_row_count",
-    "truncation_table",
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DegreeDistribution:
     """Exact map degree -> probability for one graph; zeros are implicit.
 
     For labels strictly inside the unit interval the stored probabilities
-    are positive and sum to one; the endpoints carry an empty map.
+    are positive and sum to one; the endpoints carry an empty map.  The
+    map is a read-only copy of the one passed in.
     """
 
-    entries: dict[int, Fraction]
+    entries: Mapping[int, Fraction]
     denominator: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
 
     def probability(self, k: int) -> Fraction:
         return self.entries.get(k, Fraction(0))
@@ -69,17 +72,6 @@ class DegreeDistribution:
         return sum((k * p for k, p in self.entries.items()), Fraction(0))
 
 
-@dataclass(frozen=True)
-class TruncationRow:
-    """One decremented-tail truncation: at degree ``degree`` the node count
-    is ``denominator``, the denominator of [a_{l+1} - 1, a_{l+2}, ..., a_m]."""
-
-    index: int
-    degree: int
-    numerator: int
-    denominator: int
-
-
 def base_probability(k: int, x: Fraction) -> Fraction:
     """The degree 2, 3, 4 probabilities: min(x, 1-x), |1 - 2x| and 0.
 
@@ -89,8 +81,7 @@ def base_probability(k: int, x: Fraction) -> Fraction:
     """
     if k not in (2, 3, 4):
         raise ValueError(f"only degrees 2, 3 and 4 have a base form, got {k}")
-    if not 0 <= x <= 1:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
+    x = _unit_fraction(x, open=False)
     if k == 2:
         return min(x, 1 - x)
     if k == 3:
@@ -100,8 +91,7 @@ def base_probability(k: int, x: Fraction) -> Fraction:
 
 def degree_distribution_oracle(x: Fraction) -> DegreeDistribution:
     """Distribution by explicit construction: build, identify, divide by q."""
-    if not 0 <= x <= 1:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
+    x = _unit_fraction(x, open=False)
     if x == 0 or x == 1:
         return DegreeDistribution({}, x.denominator)
     identified = identify_boundary(build(x))
@@ -111,26 +101,9 @@ def degree_distribution_oracle(x: Fraction) -> DegreeDistribution:
     )
 
 
-def truncation_table(x: Fraction) -> list[TruncationRow]:
-    """Decremented-tail truncations of x in (0, 1/2], one per emergent degree."""
-    if not 0 < x <= Fraction(1, 2):
-        raise ValueError(f"truncations are defined for x in (0, 1/2], got {x}")
-    terms = cf_expand(x).terms
-    tails = suffix_continuants(terms)
-    rows = []
-    degree = 3
-    for l in range(1, len(terms)):
-        degree += terms[l - 1]
-        rows.append(
-            TruncationRow(l, degree, tails[l + 1], tails[l] - tails[l + 1])
-        )
-    return rows
-
-
 def cf_form_distribution(x: Fraction) -> DegreeDistribution:
     """Exact distribution of x in (0, 1) from its continued fraction alone."""
-    if not 0 < x < 1:
-        raise ValueError(f"x must lie strictly inside (0, 1), got {x}")
+    x = _unit_fraction(x, open=True)
     q = x.denominator
     y = x if 2 * x.numerator <= q else 1 - x
     p = y.numerator
@@ -155,19 +128,27 @@ def interval_form_value(k: int, x: Fraction) -> Fraction:
     p_c - q_c x of the right child.  Exactly on a level k-2 fraction the
     value is 1/q; on the pivot, shallower, or outside the bracket it is 0.
     """
-    if not 0 < x < 1:
-        raise ValueError(f"x must lie strictly inside (0, 1), got {x}")
+    x = _unit_fraction(x, open=True)
     y = min(x, 1 - x)
-    bracket = locate_for_degree(k, y)
-    if bracket.side is BracketSide.LOWER_SUBINTERVAL:
-        c = bracket.lower
-        return c.denominator * y - c.numerator
-    if bracket.side is BracketSide.UPPER_SUBINTERVAL:
-        c = bracket.upper
-        return c.numerator - c.denominator * y
-    if bracket.side is BracketSide.AT_CHILD_LEVEL:
-        return Fraction(1, y.denominator)
-    return Fraction(0)
+    side, nodes = _descend(k, y.numerator, y.denominator)
+    slope, intercept = _linear_piece(side, nodes, y.denominator)
+    return slope * y + intercept
+
+
+def _linear_piece(
+    side: BracketSide, nodes: tuple[tuple[int, int], ...] | None, q: int
+) -> tuple[int, int | Fraction]:
+    """Slope and intercept of P(k, .) at a point with denominator q, from
+    the side and nodes that :func:`tree._descend` found for it."""
+    if side is BracketSide.LOWER_SUBINTERVAL:
+        p_c, q_c = nodes[1]
+        return q_c, -p_c
+    if side is BracketSide.UPPER_SUBINTERVAL:
+        p_c, q_c = nodes[3]
+        return -q_c, p_c
+    if side is BracketSide.AT_CHILD_LEVEL:
+        return 0, Fraction(1, q)
+    return 0, 0
 
 
 # Floating inputs closer than this to a comparison breakpoint cannot be
@@ -186,21 +167,22 @@ def interval_form_value_real(k: int, x: float) -> float:
     if not 0.0 < x < 1.0:
         raise ValueError(f"x must lie strictly inside (0, 1), got {x!r}")
     y = min(x, 1.0 - x)
-    bracket, gap = _locate(k, Fraction(y), track_gap=True)
-    if gap is not None and gap < BREAKPOINT_EPS:
+    p, q = y.as_integer_ratio()
+    side, nodes = _descend(k, p, q)
+    # The walk closes in on y from both sides, so the nearest node it
+    # compared against is one of these five; b > 1 skips the seeds.
+    gaps = [
+        Fraction(abs(p * b - q * a), q * b)
+        for a, b in nodes or ()
+        if b > 1 and p * b != q * a
+    ]
+    if gaps and min(gaps) < BREAKPOINT_EPS:
         raise AmbiguousBreakpointError(
-            f"{x!r} lies within {float(gap):.3g} of a tree breakpoint; "
+            f"{x!r} lies within {float(min(gaps)):.3g} of a tree breakpoint; "
             "the side of the linear piece is ambiguous at this precision"
         )
-    if bracket.side is BracketSide.LOWER_SUBINTERVAL:
-        c = bracket.lower
-        return c.denominator * y - c.numerator
-    if bracket.side is BracketSide.UPPER_SUBINTERVAL:
-        c = bracket.upper
-        return c.numerator - c.denominator * y
-    if bracket.side is BracketSide.AT_CHILD_LEVEL:
-        return 1.0 / Fraction(y).denominator
-    return 0.0
+    slope, intercept = _linear_piece(side, nodes, q)
+    return slope * y + intercept
 
 
 def interval_form_distribution(x: Fraction) -> DegreeDistribution:
@@ -212,8 +194,7 @@ def interval_form_distribution(x: Fraction) -> DegreeDistribution:
     from the interval location, so this stays independent of
     :func:`cf_form_distribution`.
     """
-    if not 0 < x < 1:
-        raise ValueError(f"x must lie strictly inside (0, 1), got {x}")
+    x = _unit_fraction(x, open=True)
     entries = {}
     for k in (2, 3):
         value = base_probability(k, x)

@@ -15,3 +15,8 @@ class ResourceLimitError(HarosError, RuntimeError):
 
 class AmbiguousBreakpointError(HarosError, ValueError):
     """A floating-point input sits within rounding error of a breakpoint."""
+
+
+class NotRationalError(HarosError, TypeError):
+    """An input that must be an exact rational is a float, a bool or not a
+    number at all."""

@@ -9,9 +9,12 @@ convergents, and Euler's continuant polynomials.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
+
+from .errors import NotRationalError
 
 __all__ = [
     "ContinuedFraction",
@@ -50,14 +53,32 @@ class ContinuedFraction:
         return iter(self.terms)
 
 
+def _unit_fraction(x: Fraction, open: bool) -> Fraction:
+    """x as a Fraction inside the unit interval, open (0, 1) or closed [0, 1].
+
+    Ints are promoted; floats, bools and non-numbers raise
+    :class:`NotRationalError`, values outside the interval ValueError.
+    """
+    if not isinstance(x, Fraction):
+        if isinstance(x, bool) or not isinstance(x, numbers.Rational):
+            raise NotRationalError(
+                f"expected an exact rational, got {type(x).__name__} {x!r}"
+            )
+        x = Fraction(x)
+    if not (0 < x < 1 if open else 0 <= x <= 1):
+        raise ValueError(f"x must lie in {'(0, 1)' if open else '[0, 1]'}, got {x}")
+    return x
+
+
 def cf_expand(x: Fraction) -> ContinuedFraction:
     """Canonical continued-fraction expansion of x in (0, 1].
 
     x = 0 is rejected: it has no expansion of this form and callers treat
     the interval endpoints specially.
     """
-    if not 0 < x <= 1:
-        raise ValueError(f"cf_expand needs 0 < x <= 1, got {x}")
+    x = _unit_fraction(x, open=False)
+    if x == 0:
+        raise ValueError("cf_expand needs 0 < x <= 1, got 0")
     p, q = x.numerator, x.denominator
     terms = []
     while p:

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import AdjacencyError, ResourceLimitError
+from .exact import _unit_fraction
 from .tree import LEFT, symbolic_path
 
 __all__ = [
@@ -102,8 +103,7 @@ def build(x: Fraction) -> HarosGraph:
     an R step the current graph with the right neighbour.  This makes the
     adjacency precondition of :func:`concat` hold by construction.
     """
-    if not 0 <= x <= 1:
-        raise ValueError(f"Haros graphs are labelled by fractions in [0, 1], got {x}")
+    x = _unit_fraction(x, open=False)
     if x.denominator > BUILD_MAX_DENOMINATOR:
         raise ResourceLimitError(
             f"building {x} needs {x.denominator + 1} node degrees; "

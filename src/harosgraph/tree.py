@@ -8,13 +8,12 @@ reaches 1/2 and a word of length n ends on a fraction of level n + 1.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import AdjacencyError, ResourceLimitError
-from .exact import cf_expand, convergents
+from .exact import _unit_fraction, cf_expand, convergents
 
 __all__ = [
     "LEFT",
@@ -129,14 +128,6 @@ def farey_sequence(n: int) -> list[Fraction]:
     return [Fraction(p, q) for p, q in iter_farey_pairs(n)]
 
 
-# Ordered spine of all fractions in levels 1..k, grown on demand.  Entries
-# are (p, q) pairs; _levels[j] holds the fractions introduced at level j+1.
-# The lock serialises growth; readers only ever see fully built levels.
-_spine: list[tuple[int, int]] = [(0, 1), (1, 1)]
-_levels: list[list[tuple[int, int]]] = [[(0, 1), (1, 1)]]
-_grow_lock = threading.Lock()
-
-
 def tree_level(k: int) -> TreeLevel:
     """The fractions of tree level k: {0/1, 1/1}, {1/2}, {1/3, 2/3}, ..."""
     if k < 1:
@@ -145,26 +136,31 @@ def tree_level(k: int) -> TreeLevel:
         raise ResourceLimitError(
             f"level {k} holds 2**{k - 2} fractions; the cap is {MAX_TREE_LEVEL}"
         )
-    global _spine
-    if len(_levels) < k:
-        with _grow_lock:
-            while len(_levels) < k:
-                new = [
-                    (_spine[i][0] + _spine[i + 1][0], _spine[i][1] + _spine[i + 1][1])
-                    for i in range(len(_spine) - 1)
-                ]
-                merged = []
-                for old, fresh in zip(_spine, new):
-                    merged.append(old)
-                    merged.append(fresh)
-                merged.append(_spine[-1])
-                _levels.append(new)
-                _spine = merged
-    return TreeLevel(k, tuple(Fraction(p, q) for p, q in _levels[k - 1]))
+    if k == 1:
+        return TreeLevel(1, (Fraction(0), Fraction(1)))
+    return TreeLevel(k, tuple(Fraction(p, q) for p, q in _level_pairs(k)))
+
+
+def _level_pairs(k: int):
+    """Yield the (p, q) pairs of level k >= 2 in increasing order.
+
+    Depth-first in-order walk over brackets (lo, hi) whose mediant sits at
+    ``depth``; the left half is popped first, so leaves come out sorted.
+    """
+    stack = [((0, 1), (1, 1), 2)]
+    while stack:
+        lo, hi, depth = stack.pop()
+        mid = (lo[0] + hi[0], lo[1] + hi[1])
+        if depth == k:
+            yield mid
+        else:
+            stack.append((mid, hi, depth + 1))
+            stack.append((lo, mid, depth + 1))
 
 
 def level_index(x: Fraction) -> int:
     """Tree level of x: 1 for the endpoints, otherwise the sum of CF terms."""
+    x = _unit_fraction(x, open=False)
     if x == 0 or x == 1:
         return 1
     return sum(cf_expand(x).terms)
@@ -178,9 +174,7 @@ def symbolic_path(x: Fraction) -> SymbolicPath:
     navigation lands exactly on x.  The endpoints live at level 1 and have
     no descent word.
     """
-    if not 0 < x < 1:
-        raise ValueError(f"no descent path for {x}")
-    counts = list(cf_expand(x).terms)
+    counts = list(cf_expand(_unit_fraction(x, open=True)).terms)
     counts[-1] -= 1
     runs = []
     symbol = LEFT
@@ -224,8 +218,7 @@ def farey_parents(x: Fraction) -> tuple[Fraction, Fraction]:
     semiconvergent (p - p_{m-1})/(q - q_{m-1}); both sit at shallower tree
     levels than x.
     """
-    if not 0 < x < 1:
-        raise ValueError(f"{x} has no parents inside the unit interval")
+    x = _unit_fraction(x, open=True)
     conv = convergents(cf_expand(x))
     prev = conv[-2] if len(conv) >= 2 else Fraction(0)
     other = Fraction(
@@ -254,69 +247,53 @@ def locate_for_degree(k: int, x: Fraction) -> EnclosingBracket:
     on a level k-2 fraction, exactly on the pivot or shallower, or outside
     the bracket altogether.
     """
-    bracket, _ = _locate(k, x, track_gap=False)
-    return bracket
+    x = _unit_fraction(x, open=True)
+    side, nodes = _descend(k, x.numerator, x.denominator)
+    if nodes is None:
+        return EnclosingBracket(None, None, None, side)
+    _, lower, pivot, upper, _ = nodes
+    return EnclosingBracket(Fraction(*lower), Fraction(*pivot), Fraction(*upper), side)
 
 
-def _locate(
-    k: int, x: Fraction, track_gap: bool
-) -> tuple[EnclosingBracket, Fraction | None]:
-    """Shared locator; optionally tracks the smallest nonzero distance from
-    x to any fraction it was compared against (used to flag floating-point
-    inputs that sit too close to a breakpoint)."""
+def _descend(
+    k: int, p: int, q: int
+) -> tuple[BracketSide, tuple[tuple[int, int], ...] | None]:
+    """Integer-pair descent behind :func:`locate_for_degree`, for 0 < p/q < 1.
+
+    Walks from 1/2 towards p/q down to the pivot level k - 3, deciding each
+    step by the sign of a cross-product.  Returns the side and the five
+    nodes lo < lower child < pivot < upper child < hi as (p, q) pairs, where
+    lo and hi are the pivot's Farey parents, the last nodes the walk
+    compared against from below and above (or the seeds 0/1 and 1/1, which
+    are never compared).  Hitting p/q above the pivot level means it is too
+    shallow: the side is ELSEWHERE and there are no nodes.
+    """
     if k < 5:
         raise ValueError(f"interval location needs a degree >= 5, got {k}")
-    if not 0 < x < 1:
-        raise ValueError(f"x must lie strictly inside (0, 1), got {x}")
-    pivot_level = k - 3
-    own = level_index(x)
-    min_gap: Fraction | None = None
-    px, qx = x.numerator, x.denominator
-
-    def note_gap(node: tuple[int, int]) -> None:
-        nonlocal min_gap
-        delta = px * node[1] - qx * node[0]
-        if delta:
-            gap = Fraction(abs(delta), qx * node[1])
-            if min_gap is None or gap < min_gap:
-                min_gap = gap
-
-    if own < pivot_level:
-        return EnclosingBracket(None, None, None, BracketSide.ELSEWHERE), min_gap
-
     lo, hi = (0, 1), (1, 1)
-    cur = (1, 2)
-    level = 2
-    while level < pivot_level:
-        if track_gap:
-            note_gap(cur)
-        sign = px * cur[1] - qx * cur[0]
-        assert sign != 0, "x cannot equal an ancestor above its own level"
+    for _ in range(k - 5):
+        node = (lo[0] + hi[0], lo[1] + hi[1])
+        sign = p * node[1] - q * node[0]
+        if sign == 0:
+            return BracketSide.ELSEWHERE, None
         if sign < 0:
-            hi = cur
+            hi = node
         else:
-            lo = cur
-        cur = (lo[0] + hi[0], lo[1] + hi[1])
-        level += 1
-
-    lower = (lo[0] + cur[0], lo[1] + cur[1])
-    upper = (cur[0] + hi[0], cur[1] + hi[1])
-    if track_gap:
-        note_gap(cur)
-        note_gap(lower)
-        note_gap(upper)
-
-    pivot_f = Fraction(*cur)
-    lower_f = Fraction(*lower)
-    upper_f = Fraction(*upper)
-    if x == pivot_f:
-        side = BracketSide.AT_PIVOT
-    elif x == lower_f or x == upper_f:
-        side = BracketSide.AT_CHILD_LEVEL
-    elif lower_f < x < pivot_f:
-        side = BracketSide.LOWER_SUBINTERVAL
-    elif pivot_f < x < upper_f:
-        side = BracketSide.UPPER_SUBINTERVAL
+            lo = node
+    pivot = (lo[0] + hi[0], lo[1] + hi[1])
+    lower = (lo[0] + pivot[0], lo[1] + pivot[1])
+    upper = (pivot[0] + hi[0], pivot[1] + hi[1])
+    nodes = (lo, lower, pivot, upper, hi)
+    to_pivot = p * pivot[1] - q * pivot[0]
+    if to_pivot == 0:
+        return BracketSide.AT_PIVOT, nodes
+    # to_child > 0 exactly when p/q lies strictly between the child and pivot
+    if to_pivot < 0:
+        side, to_child = BracketSide.LOWER_SUBINTERVAL, p * lower[1] - q * lower[0]
     else:
+        side, to_child = BracketSide.UPPER_SUBINTERVAL, q * upper[0] - p * upper[1]
+    if to_child == 0:
+        side = BracketSide.AT_CHILD_LEVEL
+    elif to_child < 0:
         side = BracketSide.ELSEWHERE
-    return EnclosingBracket(lower_f, pivot_f, upper_f, side), min_gap
+    return side, nodes

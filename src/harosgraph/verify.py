@@ -22,7 +22,13 @@ from .distribution import (
     interval_form_value,
 )
 from .errors import ResourceLimitError
-from .exact import ContinuedFraction, cf_expand, cf_value, continuant
+from .exact import (
+    ContinuedFraction,
+    cf_expand,
+    cf_value,
+    continuant,
+    suffix_continuants,
+)
 from .graphs import build, identify_boundary
 from .tree import (
     LEFT,
@@ -141,28 +147,16 @@ def check_continuant_identities(
         n = len(xs)
         if n < 2:
             continue
-        prefix = [0] * (n + 1)
-        prefix[0] = 1
-        prefix[1] = xs[0]
-        for i in range(1, n):
-            prefix[i + 1] = xs[i] * prefix[i] + prefix[i - 1]
-        inner = [0] * n  # inner[j] = K(xs[1:1+j])
-        inner[0] = 1
-        if n > 1:
-            inner[1] = xs[1]
-        for i in range(2, n):
-            inner[i] = xs[i] * inner[i - 1] + inner[i - 2]
-        suffix = [0] * (n + 2)  # suffix[i] = K(xs[i:])
-        suffix[n] = 1
-        for i in range(n - 1, -1, -1):
-            suffix[i] = xs[i] * suffix[i + 1] + suffix[i + 2]
-        kn = prefix[n]
+        suffix = suffix_continuants(xs)  # suffix[i] = K(xs[i:])
+        # K is symmetric, so K(xs[:i]) = rev[n - i]
+        rev = suffix_continuants(xs[::-1])
+        kn = continuant(xs)
         split_ok = all(
-            kn == prefix[m] * suffix[m] + prefix[m - 1] * suffix[m + 1]
+            kn == rev[n - m] * suffix[m] + rev[n - m + 1] * suffix[m + 1]
             for m in range(1, n)
         )
         t.check(split_ok, lambda xs=xs: f"splitting identity broke on {list(xs)}")
-        det = kn * inner[n - 2] - prefix[n - 1] * inner[n - 1]
+        det = kn * continuant(xs[1:-1]) - rev[1] * suffix[1]
         t.check(
             det == (-1) ** n,
             lambda xs=xs, det=det: f"determinant on {list(xs)} gave {det}",

@@ -1,6 +1,8 @@
 """The three distribution routes and the sweep harness."""
 
+import dataclasses
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -15,11 +17,23 @@ from harosgraph.distribution import (
     interval_form_value_real,
     sweep,
     sweep_row_count,
-    truncation_table,
 )
-from harosgraph.errors import AmbiguousBreakpointError, ResourceLimitError
+from harosgraph.errors import (
+    AmbiguousBreakpointError,
+    HarosError,
+    NotRationalError,
+    ResourceLimitError,
+)
 from harosgraph.exact import cf_expand
-from harosgraph.tree import iter_farey_pairs
+from harosgraph.graphs import build
+from harosgraph.tree import (
+    farey_parents,
+    iter_farey_pairs,
+    level_index,
+    locate_for_degree,
+    symbolic_path,
+    tree_children,
+)
 
 
 def unit_fractions(max_den=200):
@@ -103,6 +117,46 @@ class TestCfFormDistribution:
             assert got == expected
 
 
+class TestDegreeDistribution:
+    def test_is_immutable(self):
+        d = cf_form_distribution(Fraction(2, 5))
+        with pytest.raises(TypeError):
+            d.entries[2] = Fraction(1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.denominator = 7
+        assert d.entries == {
+            2: Fraction(2, 5),
+            3: Fraction(1, 5),
+            5: Fraction(1, 5),
+            6: Fraction(1, 5),
+        }
+
+
+UNIT_INPUT_ENTRY_POINTS = {
+    "cf_expand": cf_expand,
+    "level_index": level_index,
+    "symbolic_path": symbolic_path,
+    "farey_parents": farey_parents,
+    "tree_children": tree_children,
+    "locate_for_degree": partial(locate_for_degree, 5),
+    "build": build,
+    "base_probability": partial(base_probability, 2),
+    "degree_distribution_oracle": degree_distribution_oracle,
+    "cf_form_distribution": cf_form_distribution,
+    "interval_form_value": partial(interval_form_value, 5),
+    "interval_form_distribution": interval_form_distribution,
+}
+
+
+@pytest.mark.parametrize("bad", [0.4, True, "2/5", None])
+@pytest.mark.parametrize("name", sorted(UNIT_INPUT_ENTRY_POINTS))
+def test_non_rational_input_is_a_package_type_error(name, bad):
+    with pytest.raises(NotRationalError) as info:
+        UNIT_INPUT_ENTRY_POINTS[name](bad)
+    assert isinstance(info.value, HarosError)
+    assert isinstance(info.value, TypeError)
+
+
 class TestDegreeDistributionOracle:
     def test_endpoints_are_empty(self):
         assert degree_distribution_oracle(Fraction(0)).entries == {}
@@ -116,37 +170,6 @@ class TestDegreeDistributionOracle:
             8: Fraction(2, 23),
             10: Fraction(1, 23),
         }
-
-
-class TestTruncationTable:
-    def test_worked_rows(self):
-        rows = truncation_table(Fraction(10, 23))
-        assert [(r.index, r.degree, r.numerator, r.denominator) for r in rows] == [
-            (1, 5, 3, 7),   # tail [2, 3] has value 3/7
-            (2, 8, 1, 2),   # tail [2] has value 1/2
-        ]
-
-    def test_degrees_strictly_increase(self):
-        for p, q in iter_farey_pairs(40):
-            if p == 0 or 2 * p > q:
-                continue
-            rows = truncation_table(Fraction(p, q))
-            degrees = [r.degree for r in rows]
-            assert degrees == sorted(set(degrees))
-            assert all(r.denominator >= 1 for r in rows)
-
-    def test_counts_match_distribution(self):
-        for p, q in iter_farey_pairs(40):
-            if p == 0 or 2 * p > q:
-                continue
-            x = Fraction(p, q)
-            dist = cf_form_distribution(x)
-            for row in rows_of(x):
-                assert dist.probability(row.degree) == Fraction(row.denominator, q)
-
-
-def rows_of(x):
-    return truncation_table(x)
 
 
 class TestIntervalFormValue:
@@ -212,6 +235,9 @@ class TestIntervalFormValueReal:
         assert interval_form_value_real(5, 0.40) == pytest.approx(0.2, abs=1e-12)
         assert interval_form_value_real(5, 0.45) == pytest.approx(0.35, abs=1e-12)
         assert interval_form_value_real(5, 0.25) == 0.0
+        # the seed 0/1 is never a compared breakpoint
+        for k in range(5, 13):
+            assert interval_form_value_real(k, 1e-20) == 0.0
 
     def test_exact_dyadic_breakpoints_are_fine(self):
         # 0.5 is exactly the pivot for degree 5: the value is 0, no ambiguity
