@@ -198,11 +198,6 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         print("(empty distribution: P(k,0) = P(k,1) = 0 by convention)")
         return EXIT_OK
     method = args.method
-    columns: dict[str, dict[int, Fraction]] = {}
-    if method in ("thm1", "all"):
-        columns["thm1"] = cf_form_distribution(x).entries
-    if method in ("thm2", "all"):
-        columns["thm2"] = interval_form_distribution(x).entries
     if method in ("oracle", "all"):
         cap = _oracle_cap(args)
         if x.denominator > cap:
@@ -210,6 +205,12 @@ def _cmd_dist(args: argparse.Namespace) -> int:
                 f"denominator {x.denominator} exceeds the oracle cap {cap} "
                 f"(raise it with --max-q or {ORACLE_CAP_ENV})"
             )
+    columns: dict[str, dict[int, Fraction]] = {}
+    if method in ("thm1", "all"):
+        columns["thm1"] = cf_form_distribution(x).entries
+    if method in ("thm2", "all"):
+        columns["thm2"] = interval_form_distribution(x).entries
+    if method in ("oracle", "all"):
         columns["oracle"] = degree_distribution_oracle(x).entries
     degrees = sorted(set().union(*columns.values()))
     names = list(columns)
@@ -259,13 +260,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 handle.write("\n]\n" if count else "]\n")
         os.replace(tmp_path, out_path)
     except OSError as exc:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
         raise _UsageError(f"cannot write {out_path!r}: {exc}")
-    except BaseException:
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(f"{exc} (raise it with --max-rows)") from exc
+    finally:
+        # after a successful os.replace there is nothing left to remove
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
-        raise
     print(
         f"wrote {count} rows to {out_path}; "
         f"max cross-method discrepancy: {_fmt(worst)}"

@@ -1,7 +1,8 @@
 """Three independent routes to the degree distribution P(k, x).
 
 * ``degree_distribution_oracle``: build the graph explicitly, identify the
-  boundary node, normalise by q.  Exact but linear in q.
+  boundary node, normalise by q.  Exact, and linear in q: the build writes
+  each continued-fraction run of tree steps in one pass.
 * ``cf_form_distribution``: closed form driven by the continued fraction of
   x.  Degrees above 4 appear exactly at the cumulative term sums plus three,
   with multiplicity the denominator of the decremented tail, plus a single
@@ -9,7 +10,10 @@
   operations however large q grows.
 * ``interval_form_value``: piecewise-linear form for one degree k >= 5,
   driven by where x falls between a pivot of tree level k - 3 and that
-  pivot's two children in level k - 2.
+  pivot's two children in level k - 2.  Locating x walks the Farey tree one
+  run at a time, O(m) for x = [a_1, ..., a_m] whatever k is; a whole
+  distribution shares one walk, O(m + number of degrees), so neither needs
+  a cap.
 
 P is symmetric about 1/2, so x > 1/2 is evaluated through the mirror
 x -> 1 - x; the distributions of the endpoints 0 and 1 are identically zero
@@ -21,6 +25,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -192,7 +197,8 @@ def interval_form_distribution(x: Fraction) -> DegreeDistribution:
     exception P(4, 1/2) = 1/2 is filled in directly.  The continued fraction
     only supplies the candidate degrees to query; each value still comes
     from the interval location, so this stays independent of
-    :func:`cf_form_distribution`.
+    :func:`cf_form_distribution`.  The degrees ascend, so one descent
+    serves them all: each location resumes where the last one stopped.
     """
     x = _unit_fraction(x, open=True)
     entries = {}
@@ -202,18 +208,24 @@ def interval_form_distribution(x: Fraction) -> DegreeDistribution:
             entries[k] = value
     if x == Fraction(1, 2):
         entries[4] = Fraction(1, 2)
-    terms = cf_expand(min(x, 1 - x)).terms
-    degree = 3
-    for l in range(1, len(terms)):
-        degree += terms[l - 1]
-        value = interval_form_value(degree, x)
+    y = min(x, 1 - x)
+    terms = cf_expand(y).terms
+    # Degrees above 4 sit at the cumulative term sums plus three and at the
+    # boundary degree, the level plus two (only 4 for x = 1/2)
+    *sums, level = accumulate(terms)
+    degrees = [s + 3 for s in sums]
+    if level + 2 >= 5:
+        degrees.append(level + 2)
+    p, q = y.numerator, y.denominator
+    lo, hi, walked = (0, 1), (1, 1), 5
+    for k in degrees:
+        side, nodes = _descend(k, p, q, lo, hi, walked)
+        if nodes:
+            lo, hi, walked = nodes[0], nodes[4], k
+        slope, intercept = _linear_piece(side, nodes, q)
+        value = slope * y + intercept
         if value:
-            entries[degree] = value
-    boundary = sum(terms) + 2
-    if boundary >= 5:
-        value = interval_form_value(boundary, x)
-        if value:
-            entries[boundary] = value
+            entries[k] = value
     return DegreeDistribution(entries, x.denominator)
 
 

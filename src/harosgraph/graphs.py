@@ -70,6 +70,7 @@ class IdentifiedDegreeMultiset:
 
 def initial_graph(label: Fraction) -> HarosGraph:
     """The seed graph: two nodes joined by a single edge."""
+    label = _unit_fraction(label, open=False)
     if label != 0 and label != 1:
         raise ValueError(f"the seed graph is labelled 0/1 or 1/1, not {label}")
     return HarosGraph(label, (1, 1))
@@ -101,7 +102,9 @@ def build(x: Fraction) -> HarosGraph:
     Navigation keeps the graphs of the two Farey neighbours of the current
     node: an L step concatenates the left neighbour with the current graph,
     an R step the current graph with the right neighbour.  This makes the
-    adjacency precondition of :func:`concat` hold by construction.
+    adjacency precondition of :func:`concat` hold by construction.  A run of
+    identical steps is written in one pass, so the work is linear in the
+    size of the graphs the runs end on, which is O(q) in total.
     """
     x = _unit_fraction(x, open=False)
     if x.denominator > BUILD_MAX_DENOMINATOR:
@@ -111,19 +114,53 @@ def build(x: Fraction) -> HarosGraph:
         )
     if x == 0 or x == 1:
         return initial_graph(x)
-    left = initial_graph(Fraction(0))
-    right = initial_graph(Fraction(1))
-    cur = concat(left, right)
-    opening = True
+    # The walk starts on the graph of 1/1 with 0/1 as its left neighbour, so
+    # the opening L step concatenates the seeds into the graph of 1/2.
+    left = cur = right = [1, 1]
     for symbol, count in symbolic_path(x).runs:
-        for _ in range(count):
-            if opening:
-                opening = False  # the first step built the graph of 1/2
-            elif symbol == LEFT:
-                cur, right = concat(left, cur), cur
-            else:
-                cur, left = concat(cur, right), cur
-    return cur
+        # the node one step short of the run's end becomes the new neighbour
+        if symbol == LEFT:
+            right = _left_steps(left, cur, count - 1)
+            cur = _left_steps(left, right, 1)
+        else:
+            left = _right_steps(cur, right, count - 1)
+            cur = _right_steps(left, right, 1)
+    return HarosGraph(x, tuple(cur))
+
+
+def _left_steps(left: list[int], cur: list[int], r: int) -> list[int]:
+    """Degrees after r L steps: left ⊕ (left ⊕ ... (left ⊕ cur)).
+
+    Each step adds one to the first degree of ``left`` and to the last one
+    of the running graph, and merges the last node of ``left`` into the
+    first node of the running graph, so the copies of ``left`` are joined
+    by nodes of degree left[-1] + left[0] + 1.
+    """
+    if not r:
+        return cur
+    l0, mid, last = left[0], left[1:-1], left[-1]
+    out = [l0 + 1]
+    out += (mid + [last + l0 + 1]) * (r - 1)
+    out += mid
+    out.append(last + cur[0])
+    out += cur[1:-1]
+    out.append(cur[-1] + r)
+    return out
+
+
+def _right_steps(cur: list[int], right: list[int], r: int) -> list[int]:
+    """Degrees after r R steps: ((cur ⊕ right) ⊕ ...) ⊕ right, the mirror
+    of :func:`_left_steps`."""
+    if not r:
+        return cur
+    r0, mid, last = right[0], right[1:-1], right[-1]
+    out = [cur[0] + r]
+    out += cur[1:-1]
+    out.append(cur[-1] + r0)
+    out += (mid + [last + r0 + 1]) * (r - 1)
+    out += mid
+    out.append(last + 1)
+    return out
 
 
 def identify_boundary(g: HarosGraph) -> IdentifiedDegreeMultiset:

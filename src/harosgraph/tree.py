@@ -39,7 +39,8 @@ LEFT = "L"
 RIGHT = "R"
 
 # Level k materialises 2**(k-2) fractions; past this point whole levels are
-# refused and callers must use the O(k) descent of locate_for_degree instead.
+# refused and callers must use locate_for_degree instead, whose descent takes
+# one step per continued-fraction term: O(m) for x = [a_1, ..., a_m].
 MAX_TREE_LEVEL = 20
 
 
@@ -187,27 +188,26 @@ def symbolic_path(x: Fraction) -> SymbolicPath:
 def replay_path(path: SymbolicPath) -> Fraction:
     """Walk a descent word by mediant navigation and return the fraction hit.
 
-    State is the bracketing pair (lo, hi) plus the current node, which is
-    always mediant(lo, hi); an L step narrows hi to the current node, an R
-    step narrows lo.
+    State is the bracketing pair (lo, hi) plus the current node; an L step
+    narrows hi to the current node, an R step narrows lo.  The walk starts
+    on 1/1 with lo = 0/1, so the opening L lands on 1/2.  A run of j L steps
+    is taken at once: hi becomes (j - 1) lo + cur and the current node
+    j lo + cur, mediant by mediant; R runs mirror that.
     """
     if not path.runs:
         raise ValueError("empty descent word")
     if path.runs[0][0] != LEFT:
         raise ValueError("descent words start with L (one L reaches 1/2)")
-    lo, hi = (0, 1), (1, 1)
-    cur: tuple[int, int] | None = None
+    lo, cur, hi = (0, 1), (1, 1), (1, 1)
     for symbol, count in path.runs:
-        for _ in range(count):
-            if cur is None:
-                cur = (lo[0] + hi[0], lo[1] + hi[1])
-            elif symbol == LEFT:
-                hi = cur
-                cur = (lo[0] + cur[0], lo[1] + cur[1])
-            else:
-                lo = cur
-                cur = (cur[0] + hi[0], cur[1] + hi[1])
-    assert cur is not None
+        if count < 1:
+            raise ValueError(f"runs are at least one step long, got {count}")
+        if symbol == LEFT:
+            hi = (cur[0] + (count - 1) * lo[0], cur[1] + (count - 1) * lo[1])
+            cur = (hi[0] + lo[0], hi[1] + lo[1])
+        else:
+            lo = (cur[0] + (count - 1) * hi[0], cur[1] + (count - 1) * hi[1])
+            cur = (lo[0] + hi[0], lo[1] + hi[1])
     return Fraction(*cur)
 
 
@@ -241,8 +241,9 @@ def tree_children(x: Fraction) -> tuple[Fraction, Fraction]:
 def locate_for_degree(k: int, x: Fraction) -> EnclosingBracket:
     """Locate x relative to tree levels k-3 (pivots) and k-2 (children).
 
-    Descends the tree along the path of x for at most k - 4 steps, so no
-    level is materialised.  The side tells whether x falls strictly inside
+    Descends the tree along the path of x one L or R run at a time, so no
+    level is materialised and the cost is O(m) for x = [a_1, ..., a_m],
+    whatever k is.  The side tells whether x falls strictly inside
     the lower or upper subinterval around its pivot-level ancestor, exactly
     on a level k-2 fraction, exactly on the pivot or shallower, or outside
     the bracket altogether.
@@ -256,42 +257,62 @@ def locate_for_degree(k: int, x: Fraction) -> EnclosingBracket:
 
 
 def _descend(
-    k: int, p: int, q: int
+    k: int,
+    p: int,
+    q: int,
+    lo: tuple[int, int] = (0, 1),
+    hi: tuple[int, int] = (1, 1),
+    walked: int = 5,
 ) -> tuple[BracketSide, tuple[tuple[int, int], ...] | None]:
     """Integer-pair descent behind :func:`locate_for_degree`, for 0 < p/q < 1.
 
-    Walks from 1/2 towards p/q down to the pivot level k - 3, deciding each
-    step by the sign of a cross-product.  Returns the side and the five
+    Walks from 1/2 towards p/q down to the pivot level k - 3, one L or R run
+    at a time: the length of a run is a floor division of two cross-products
+    of p/q with the current Farey parents.  Returns the side and the five
     nodes lo < lower child < pivot < upper child < hi as (p, q) pairs, where
     lo and hi are the pivot's Farey parents, the last nodes the walk
     compared against from below and above (or the seeds 0/1 and 1/1, which
     are never compared).  Hitting p/q above the pivot level means it is too
     shallow: the side is ELSEWHERE and there are no nodes.
+
+    A walk resumes from an earlier result for the same p/q: pass its lo and
+    hi with the smaller degree it was made for as ``walked``.
     """
     if k < 5:
         raise ValueError(f"interval location needs a degree >= 5, got {k}")
-    lo, hi = (0, 1), (1, 1)
-    for _ in range(k - 5):
-        node = (lo[0] + hi[0], lo[1] + hi[1])
-        sign = p * node[1] - q * node[0]
-        if sign == 0:
-            return BracketSide.ELSEWHERE, None
-        if sign < 0:
-            hi = node
+    a, b = lo
+    c, d = hi
+    # Both gaps stay positive: a/b < p/q < c/d.  The node after an L run of
+    # j is (j*a + c)/(j*b + d), still above p/q while j*below < above; an R
+    # run mirrors that.  Each run is one step of Euclid's algorithm on the
+    # gaps, so a walk takes one iteration per continued-fraction term.
+    below, above = p * b - q * a, q * c - p * d
+    steps = k - walked
+    while steps:
+        if above > below:
+            run = min((above - 1) // below, steps)
+            c, d = c + run * a, d + run * b
+            above -= run * below
+        elif below > above:
+            run = min((below - 1) // above, steps)
+            a, b = a + run * c, b + run * d
+            below -= run * above
         else:
-            lo = node
-    pivot = (lo[0] + hi[0], lo[1] + hi[1])
-    lower = (lo[0] + pivot[0], lo[1] + pivot[1])
-    upper = (pivot[0] + hi[0], pivot[1] + hi[1])
-    nodes = (lo, lower, pivot, upper, hi)
-    to_pivot = p * pivot[1] - q * pivot[0]
+            return BracketSide.ELSEWHERE, None  # the next node is p/q itself
+        steps -= run
+    pivot = (a + c, b + d)
+    lower = (a + pivot[0], b + pivot[1])
+    upper = (pivot[0] + c, pivot[1] + d)
+    nodes = ((a, b), lower, pivot, upper, (c, d))
+    # The same cross-products against the pivot and its children
+    to_pivot = below - above
     if to_pivot == 0:
         return BracketSide.AT_PIVOT, nodes
     # to_child > 0 exactly when p/q lies strictly between the child and pivot
     if to_pivot < 0:
-        side, to_child = BracketSide.LOWER_SUBINTERVAL, p * lower[1] - q * lower[0]
+        side, to_child = BracketSide.LOWER_SUBINTERVAL, 2 * below - above
     else:
-        side, to_child = BracketSide.UPPER_SUBINTERVAL, q * upper[0] - p * upper[1]
+        side, to_child = BracketSide.UPPER_SUBINTERVAL, 2 * above - below
     if to_child == 0:
         side = BracketSide.AT_CHILD_LEVEL
     elif to_child < 0:

@@ -138,6 +138,23 @@ class TestDist:
         code, _, _ = run(capsys, "dist", "10/23", "--method", "oracle", "--max-q", "5")
         assert code == 3
 
+    def test_oracle_cap_is_checked_before_any_column(self, capsys, monkeypatch):
+        def never(x):
+            raise AssertionError("thm2 ran before the oracle cap was checked")
+
+        monkeypatch.setattr(cli, "interval_form_distribution", never)
+        code, out, err = run(capsys, "dist", "1/100000000", "--method", "all")
+        assert code == 3
+        assert out == ""
+        assert "--max-q" in err
+
+    def test_thm2_needs_no_cap(self, capsys):
+        q = 10**200 + 7
+        code, out, _ = run(capsys, "dist", f"3/{q}", "--method", "thm2")
+        assert code == 0
+        rows = {line.split()[0]: line.split()[1] for line in out.splitlines()[1:]}
+        assert rows[str(q // 3 + 5)] == f"1/{q}"
+
 
 class TestSweep:
     def test_header_and_rows(self, capsys, tmp_path):
@@ -185,6 +202,8 @@ class TestSweep:
             "--out", str(out_file), "--max-rows", "10",
         )
         assert code == 3
+        assert "the cap is 10" in err
+        assert "raise it with --max-rows" in err
         assert not out_file.exists()
         assert not os.path.exists(str(out_file) + ".partial")
 

@@ -25,7 +25,7 @@ from harosgraph.errors import (
     ResourceLimitError,
 )
 from harosgraph.exact import cf_expand
-from harosgraph.graphs import build
+from harosgraph.graphs import build, initial_graph
 from harosgraph.tree import (
     farey_parents,
     iter_farey_pairs,
@@ -140,6 +140,7 @@ UNIT_INPUT_ENTRY_POINTS = {
     "tree_children": tree_children,
     "locate_for_degree": partial(locate_for_degree, 5),
     "build": build,
+    "initial_graph": initial_graph,
     "base_probability": partial(base_probability, 2),
     "degree_distribution_oracle": degree_distribution_oracle,
     "cf_form_distribution": cf_form_distribution,
@@ -225,6 +226,21 @@ class TestIntervalFormValue:
 
     @given(unit_fractions())
     def test_full_interval_route_distribution(self, x):
+        assert (
+            interval_form_distribution(x).entries == cf_form_distribution(x).entries
+        )
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            Fraction(3, 10**200 + 7),
+            Fraction(10**200 + 4, 10**200 + 7),
+            Fraction(1, 10**8),
+            Fraction(317811, 514229),
+        ],
+    )
+    def test_full_interval_route_on_deep_inputs(self, x):
+        # levels far beyond any per-level walk: one walk, one run per term
         assert (
             interval_form_distribution(x).entries == cf_form_distribution(x).entries
         )

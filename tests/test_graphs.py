@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from harosgraph.distribution import cf_form_distribution
 from harosgraph.errors import AdjacencyError, ResourceLimitError
 from harosgraph.graphs import (
     HarosGraph,
@@ -22,6 +23,20 @@ def unit_fractions(max_den=200):
     return st.builds(
         lambda q, p: Fraction(p % (q - 1) + 1, q), st.integers(3, max_den), st.integers(0)
     )
+
+
+def _fibonacci_ratios(limit):
+    a, b = 1, 2
+    while b <= limit:
+        yield Fraction(a, b)
+        a, b = b, a + b
+
+
+# One huge continued-fraction term (1/q) and many terms of 1 (Fibonacci
+# ratios): the two extremes of run length for the run-at-a-time build.
+ADVERSARIAL = [
+    Fraction(1, q) for q in (2**10, 2**10 + 1, 3 * 2**10, 2**11, 2**12)
+] + list(_fibonacci_ratios(10**5))
 
 
 # Fig-style reference data, derived by applying the merge rule by hand and
@@ -98,22 +113,41 @@ class TestBuild:
     def test_mirror_reverses_the_sequence(self, x):
         assert build(1 - x).degrees == tuple(reversed(build(x).degrees))
 
-    def test_matches_stepwise_navigation(self):
+    @staticmethod
+    def stepwise(x):
         # independent oracle: replay the descent word one concatenation at a
         # time, keeping the two neighbour graphs by hand
-        for x in farey_sequence(40):
+        left = initial_graph(Fraction(0))
+        right = initial_graph(Fraction(1))
+        word = symbolic_path(x).word
+        cur = concat(left, right)
+        for symbol in word[1:]:
+            if symbol == "L":
+                cur, right = concat(left, cur), cur
+            else:
+                cur, left = concat(cur, right), cur
+        return cur
+
+    def test_matches_stepwise_navigation(self):
+        for x in farey_sequence(150):
             if x == 0 or x == 1:
                 continue
-            left = initial_graph(Fraction(0))
-            right = initial_graph(Fraction(1))
-            word = symbolic_path(x).word
-            cur = concat(left, right)
-            for symbol in word[1:]:
-                if symbol == "L":
-                    cur, right = concat(left, cur), cur
-                else:
-                    cur, left = concat(cur, right), cur
-            assert build(x) == cur
+            assert build(x) == self.stepwise(x)
+
+    @pytest.mark.parametrize("x", ADVERSARIAL, ids=str)
+    def test_matches_stepwise_navigation_adversarial(self, x):
+        assert build(x) == self.stepwise(x)
+        assert build(1 - x) == self.stepwise(1 - x)
+
+    def test_million_node_build(self):
+        # one run of a million steps, written in one pass
+        q = 10**6
+        x = Fraction(1, q)
+        g = build(x)
+        assert g.node_count == q + 1
+        assert g.edge_count == 2 * q - 1
+        counts = identify_boundary(g).as_dict()
+        assert counts == {k: p * q for k, p in cf_form_distribution(x).entries.items()}
 
 
 class TestIdentifyBoundary:

@@ -12,6 +12,8 @@ from harosgraph.exact import cf_expand
 from harosgraph.tree import (
     BracketSide,
     MAX_TREE_LEVEL,
+    SymbolicPath,
+    _descend,
     farey_parents,
     farey_sequence,
     iter_farey_pairs,
@@ -29,6 +31,68 @@ def unit_fractions(max_den=300):
     return st.builds(
         lambda q, p: Fraction(p % (q - 1) + 1, q), st.integers(3, max_den), st.integers(0)
     )
+
+
+def fibonacci_ratios(limit):
+    """F_n / F_(n+1) for denominators up to limit: every term is 1 but the
+    last, so the descent word alternates L and R at every step."""
+    a, b = 1, 2
+    while b <= limit:
+        yield a, b
+        a, b = b, a + b
+
+
+def run_end_hits(max_level=7, max_run=6):
+    """Fractions that a descent hits exactly at the end of a run: the j-th
+    node (j*a + c)/(j*b + d) of an L run, or its R mirror, below every pair
+    of Farey neighbours a/b < c/d met on the way to level max_level."""
+    hits = set()
+    stack = [((0, 1), (1, 1), 2)]
+    while stack:
+        (a, b), (c, d), level = stack.pop()
+        for j in range(1, max_run + 1):
+            hits.add((j * a + c, j * b + d))
+            hits.add((a + j * c, b + j * d))
+        if level < max_level:
+            mid = (a + c, b + d)
+            stack.append(((a, b), mid, level + 1))
+            stack.append((mid, (c, d), level + 1))
+    return sorted(hits, key=lambda pair: Fraction(*pair))
+
+
+def stepwise_brackets(p, q, last_k):
+    """The bracket of p/q for k = 5..last_k, walking one tree level per step.
+
+    The reference the run-length descent is checked against: at every level
+    the walk compares p/q with the mediant of its current Farey parents.
+    """
+    lo, hi = (0, 1), (1, 1)
+    for k in range(5, last_k + 1):
+        if lo is None:
+            yield BracketSide.ELSEWHERE, None
+            continue
+        pivot = (lo[0] + hi[0], lo[1] + hi[1])
+        lower = (lo[0] + pivot[0], lo[1] + pivot[1])
+        upper = (pivot[0] + hi[0], pivot[1] + hi[1])
+        to_pivot = p * pivot[1] - q * pivot[0]
+        if to_pivot == 0:
+            side = BracketSide.AT_PIVOT
+        else:
+            if to_pivot < 0:
+                side, to_child = BracketSide.LOWER_SUBINTERVAL, p * lower[1] - q * lower[0]
+            else:
+                side, to_child = BracketSide.UPPER_SUBINTERVAL, q * upper[0] - p * upper[1]
+            if to_child == 0:
+                side = BracketSide.AT_CHILD_LEVEL
+            elif to_child < 0:
+                side = BracketSide.ELSEWHERE
+        yield side, (lo, lower, pivot, upper, hi)
+        if to_pivot == 0:
+            lo = hi = None  # p/q is the next node: too shallow from here on
+        elif to_pivot < 0:
+            hi = pivot
+        else:
+            lo = pivot
 
 
 class TestMediant:
@@ -153,6 +217,15 @@ class TestSymbolicPath:
     def test_replay_lands_on_x(self, x):
         assert replay_path(symbolic_path(x)) == x
 
+    def test_replay_of_long_runs(self):
+        for x in (Fraction(1, 10**6), Fraction(3, 10**200 + 7), Fraction(832040, 1346269)):
+            assert replay_path(symbolic_path(x)) == x
+            assert replay_path(symbolic_path(1 - x)) == 1 - x
+
+    def test_replay_rejects_empty_runs(self):
+        with pytest.raises(ValueError):
+            replay_path(SymbolicPath((("L", 2), ("R", 0))))
+
     @given(unit_fractions())
     def test_length_is_level_minus_one(self, x):
         assert len(symbolic_path(x)) == level_index(x) - 1
@@ -240,6 +313,51 @@ class TestLocateForDegree:
             locate_for_degree(4, Fraction(2, 5))
         with pytest.raises(ValueError):
             locate_for_degree(5, Fraction(0))
+
+    def assert_matches_stepwise(self, p, q):
+        last_k = level_index(Fraction(p, q)) + 4
+        for k, expected in enumerate(stepwise_brackets(p, q, last_k), start=5):
+            assert _descend(k, p, q) == expected, f"{p}/{q} at k = {k}"
+
+    def test_descent_matches_stepwise_walk_f150(self):
+        for p, q in iter_farey_pairs(150):
+            if 0 < p < q:
+                self.assert_matches_stepwise(p, q)
+
+    @pytest.mark.parametrize("e", [10, 11, 12, 13])
+    def test_descent_matches_stepwise_walk_one_term(self, e):
+        self.assert_matches_stepwise(1, 2**e)
+        self.assert_matches_stepwise(2**e - 1, 2**e)
+
+    def test_descent_matches_stepwise_walk_fibonacci(self):
+        for p, q in fibonacci_ratios(10**5):
+            self.assert_matches_stepwise(p, q)
+            self.assert_matches_stepwise(q - p, q)
+
+    def test_descent_matches_stepwise_walk_at_run_ends(self):
+        for p, q in run_end_hits():
+            self.assert_matches_stepwise(p, q)
+
+    def test_resumed_descent_matches_fresh_one(self):
+        for p, q in iter_farey_pairs(60):
+            if not 0 < p < q:
+                continue
+            last_k = level_index(Fraction(p, q)) + 4
+            for k0 in range(5, last_k + 1):
+                _, nodes = _descend(k0, p, q)
+                if nodes is None:
+                    continue
+                for k in range(k0, last_k + 1):
+                    resumed = _descend(k, p, q, nodes[0], nodes[4], k0)
+                    assert resumed == _descend(k, p, q), (p, q, k0, k)
+
+    def test_locates_a_bigint_at_its_own_level(self):
+        # one step per continued-fraction term: a level of about 10**200 is
+        # reached in a handful of iterations
+        q = 10**200 + 7
+        br = locate_for_degree(q // 3 + 5, Fraction(3, q))
+        assert br.side is BracketSide.AT_CHILD_LEVEL
+        assert level_index(Fraction(3, q)) == q // 3 + 3
 
     @given(unit_fractions(), st.integers(5, 12))
     def test_bracket_is_pivot_with_its_children(self, x, k):
