@@ -15,6 +15,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .distribution import (
@@ -236,6 +237,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     tmp_path = out_path + ".partial"
     count = 0
     worst = Fraction(0)
+    x = x_float = None
     try:
         handle = open(tmp_path, "w", newline="")
     except OSError as exc:
@@ -248,12 +250,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             else:
                 handle.write("[")
             for point in sweep(args.k, args.order, row_cap=args.max_rows):
-                worst = max(worst, _spread(point))
-                record = _sweep_record(point)
+                if x != (point.p, point.q):
+                    x = (point.p, point.q)
+                    x_float = point.p / point.q
+                    if args.format == "csv":
+                        x_float = f"{x_float:.17g}"
+                counts = (
+                    point.cf_form_count, point.interval_form_count, point.oracle_count
+                )
+                if max(counts) != min(counts):
+                    # the three counts share the denominator q
+                    worst = max(worst, Fraction(max(counts) - min(counts), point.q))
+                row = [point.p, point.q, x_float, point.k]
+                row += _reduced_cells(counts, point.q)
                 if args.format == "csv":
-                    record["x_float"] = f"{record['x_float']:.17g}"
-                    writer.writerow(record.values())
+                    writer.writerow(row)
                 else:
+                    record = dict(zip(SWEEP_FIELDS, row))
                     handle.write(("\n" if count == 0 else ",\n") + json.dumps(record))
                 count += 1
             if args.format == "json":
@@ -274,31 +287,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_record(point) -> dict[str, object]:
-    """One sweep row keyed by the CSV field names; x_float is a float."""
-    x = point.x
-    return dict(
-        zip(
-            SWEEP_FIELDS,
-            (
-                x.numerator,
-                x.denominator,
-                x.numerator / x.denominator,
-                point.k,
-                point.cf_form.numerator,
-                point.cf_form.denominator,
-                point.interval_form.numerator,
-                point.interval_form.denominator,
-                point.oracle.numerator,
-                point.oracle.denominator,
-            ),
-        )
-    )
-
-
-def _spread(point) -> Fraction:
-    values = (point.cf_form, point.interval_form, point.oracle)
-    return max(values) - min(values)
+def _reduced_cells(counts: tuple[int, ...], q: int) -> list[int]:
+    """Numerator and denominator of each count / q, in lowest terms."""
+    cells = []
+    for numerator in counts:
+        divisor = gcd(numerator, q)
+        cells += (numerator // divisor, q // divisor)
+    return cells
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -12,8 +12,12 @@
   driven by where x falls between a pivot of tree level k - 3 and that
   pivot's two children in level k - 2.  Locating x walks the Farey tree one
   run at a time, O(m) for x = [a_1, ..., a_m] whatever k is; a whole
-  distribution shares one walk, O(m + number of degrees), so neither needs
-  a cap.
+  distribution, a sweep row group or a triple-equality check shares one
+  walk per x, O(m + number of degrees), so none of them needs a cap.
+
+For x = p/q every probability is a count of nodes over q, so each route has
+an integer core that returns those counts; the public functions wrap them in
+:class:`~fractions.Fraction` and ``sweep`` passes them on unreduced.
 
 P is symmetric about 1/2, so x > 1/2 is evaluated through the mirror
 x -> 1 - x; the distributions of the endpoints 0 and 1 are identically zero
@@ -26,13 +30,14 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import isqrt
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import AmbiguousBreakpointError, ResourceLimitError
-from .exact import _unit_fraction, cf_expand, suffix_continuants
+from .exact import _cf_terms, _degree, _unit_fraction, cf_expand, suffix_continuants
 from .graphs import build, identify_boundary, iter_identified_counts
-from .tree import BracketSide, _descend, iter_farey_pairs
+from .tree import BracketSide, _descend, _walk
 
 __all__ = [
     "DEFAULT_ROW_CAP",
@@ -110,19 +115,28 @@ def cf_form_distribution(x: Fraction) -> DegreeDistribution:
     """Exact distribution of x in (0, 1) from its continued fraction alone."""
     x = _unit_fraction(x, open=True)
     q = x.denominator
-    y = x if 2 * x.numerator <= q else 1 - x
-    p = y.numerator
-    terms = cf_expand(y).terms
-    entries = {2: Fraction(p, q)}
+    counts = _cf_form_counts(x.numerator, q)
+    return DegreeDistribution({k: Fraction(m, q) for k, m in counts.items()}, q)
+
+
+def _cf_form_counts(p: int, q: int) -> dict[int, int]:
+    """Integer core of :func:`cf_form_distribution`: degree -> P(k, p/q)·q.
+
+    For coprime 0 < p < q.  Every degree with a positive count is present.
+    """
+    if 2 * p > q:
+        p = q - p
+    terms = _cf_terms(p, q)
+    counts = {2: p}
     if q - 2 * p:
-        entries[3] = Fraction(q - 2 * p, q)
+        counts[3] = q - 2 * p
     tails = suffix_continuants(terms)
     degree = 3
     for l in range(1, len(terms)):
         degree += terms[l - 1]
-        entries[degree] = Fraction(tails[l] - tails[l + 1], q)
-    entries[sum(terms) + 2] = Fraction(1, q)
-    return DegreeDistribution(entries, q)
+        counts[degree] = tails[l] - tails[l + 1]
+    counts[sum(terms) + 2] = 1
+    return counts
 
 
 def interval_form_value(k: int, x: Fraction) -> Fraction:
@@ -134,10 +148,38 @@ def interval_form_value(k: int, x: Fraction) -> Fraction:
     value is 1/q; on the pivot, shallower, or outside the bracket it is 0.
     """
     x = _unit_fraction(x, open=True)
-    y = min(x, 1 - x)
-    side, nodes = _descend(k, y.numerator, y.denominator)
-    slope, intercept = _linear_piece(side, nodes, y.denominator)
-    return slope * y + intercept
+    q = x.denominator
+    (count,) = _interval_form_counts((k,), x.numerator, q)
+    return Fraction(count, q)
+
+
+def _interval_form_counts(ks: Sequence[int], p: int, q: int) -> list[int]:
+    """Integer core of the interval form: P(k, p/q)·q for each k of ks.
+
+    For coprime 0 < p < q and ascending integer degrees ks >= 5 (a float,
+    bool or str degree raises :class:`NotRationalError`, one below 5
+    ValueError).  p/q > 1/2 is mirrored first.  One descent serves every
+    degree (:func:`tree._walk`), so the cost is O(m + len(ks)).  The count
+    is the linear piece times q, the cross-product of p/q with the child on
+    its side of the pivot (a + c)/(b + d): q_c·p - p_c·q for the lower
+    child c, p_c·q - q_c·p for the upper one.  Where that is not positive
+    the count is 1 exactly on the child and 0 beyond it; it is also 0 on
+    the pivot and above the pivot level.
+    """
+    if 2 * p > q:
+        p = q - p
+    out = []
+    for state in _walk(ks, p, q):
+        if state is None or state[4] == state[5]:
+            out.append(0)  # p/q is above the pivot level, or the pivot
+            continue
+        a, b, c, d, below, above = state
+        if below < above:
+            cross = (2 * b + d) * p - (2 * a + c) * q
+        else:
+            cross = (a + 2 * c) * q - (b + 2 * d) * p
+        out.append(cross if cross > 0 else 1 if cross == 0 else 0)
+    return out
 
 
 def _linear_piece(
@@ -198,7 +240,7 @@ def interval_form_distribution(x: Fraction) -> DegreeDistribution:
     only supplies the candidate degrees to query; each value still comes
     from the interval location, so this stays independent of
     :func:`cf_form_distribution`.  The degrees ascend, so one descent
-    serves them all: each location resumes where the last one stopped.
+    serves them all (:func:`_interval_form_counts`).
     """
     x = _unit_fraction(x, open=True)
     entries = {}
@@ -208,50 +250,86 @@ def interval_form_distribution(x: Fraction) -> DegreeDistribution:
             entries[k] = value
     if x == Fraction(1, 2):
         entries[4] = Fraction(1, 2)
-    y = min(x, 1 - x)
-    terms = cf_expand(y).terms
+    terms = cf_expand(min(x, 1 - x)).terms
     # Degrees above 4 sit at the cumulative term sums plus three and at the
     # boundary degree, the level plus two (only 4 for x = 1/2)
     *sums, level = accumulate(terms)
     degrees = [s + 3 for s in sums]
     if level + 2 >= 5:
         degrees.append(level + 2)
-    p, q = y.numerator, y.denominator
-    lo, hi, walked = (0, 1), (1, 1), 5
-    for k in degrees:
-        side, nodes = _descend(k, p, q, lo, hi, walked)
-        if nodes:
-            lo, hi, walked = nodes[0], nodes[4], k
-        slope, intercept = _linear_piece(side, nodes, q)
-        value = slope * y + intercept
-        if value:
-            entries[k] = value
-    return DegreeDistribution(entries, x.denominator)
+    q = x.denominator
+    for k, count in zip(degrees, _interval_form_counts(degrees, x.numerator, q)):
+        if count:
+            entries[k] = Fraction(count, q)
+    return DegreeDistribution(entries, q)
 
 
-@dataclass(frozen=True, slots=True)
-class SweepPoint:
-    """One sweep row: the three probability columns for a single (x, k)."""
+class SweepPoint(NamedTuple):
+    """One sweep row: the three routes' P(k, x) for a single x = p/q and k.
 
-    x: Fraction
+    Each route's value is held as its count over q, P(k, x)·q: the number
+    of nodes of degree k in the boundary-identified graph, as that route
+    finds it.  The properties give x and the three values as reduced
+    fractions.  A named tuple, not a frozen dataclass: a sweep makes one
+    per row, and a tuple is about three times cheaper to build.
+    """
+
+    p: int
+    q: int
     k: int
-    cf_form: Fraction
-    interval_form: Fraction
-    oracle: Fraction
+    cf_form_count: int
+    interval_form_count: int
+    oracle_count: int
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.p, self.q)
+
+    @property
+    def cf_form(self) -> Fraction:
+        return Fraction(self.cf_form_count, self.q)
+
+    @property
+    def interval_form(self) -> Fraction:
+        return Fraction(self.interval_form_count, self.q)
+
+    @property
+    def oracle(self) -> Fraction:
+        return Fraction(self.oracle_count, self.q)
 
 
 DEFAULT_ROW_CAP = 5_000_000
 
 
-def sweep_row_count(degrees: Sequence[int], order: int) -> int:
-    """Number of rows a sweep will emit: interior fractions times degrees."""
+def sweep_row_count(
+    degrees: Sequence[int], order: int, cap: int | None = None
+) -> int:
+    """Number of rows a sweep will emit: interior fractions times degrees.
+
+    With a cap, counting stops once the count passes it, and that partial
+    count (already above the cap) is returned.  The totient sieve starts
+    near sqrt(cap) and doubles, so it never reaches much past
+    2·sqrt(cap), however large ``order`` is.
+    """
+    per_x = len(set(degrees))
+    if not per_x:
+        return 0  # with a cap, doubling would otherwise run up to ``order``
+    limit = order if cap is None else min(order, isqrt(max(cap, 0)) + 2)
+    while True:
+        rows = per_x * _interior_count(limit)
+        if limit == order or rows > cap:
+            return rows
+        limit = min(order, 2 * limit)
+
+
+def _interior_count(order: int) -> int:
+    """Fractions of F_order strictly inside (0, 1): phi(2) + ... + phi(order)."""
     phi = list(range(order + 1))
     for i in range(2, order + 1):
         if phi[i] == i:
             for j in range(i, order + 1, i):
                 phi[j] -= phi[j] // i
-    interior = sum(phi[1 : order + 1]) - 1
-    return max(interior, 0) * len(set(degrees))
+    return max(sum(phi[1 : order + 1]) - 1, 0)
 
 
 def sweep(
@@ -262,39 +340,29 @@ def sweep(
     """Evaluate all three routes over every x in F_order strictly inside (0, 1).
 
     Yields one :class:`SweepPoint` per (x, k) pair, sorted by (x, k).  The
-    oracle column is produced by the tree walk of
+    fractions and the oracle column come from the in-order tree walk of
     :func:`iter_identified_counts`, which performs the explicit graph
-    construction once per fraction; the closed forms are evaluated
-    independently per row.
+    construction once per fraction; for each x, the continued-fraction
+    form is evaluated once and the interval form makes one descent for all
+    degrees.  The row cap is checked before any work, in time and memory
+    of about sqrt(row_cap); with no cap the rows are not counted.
     """
-    ks = sorted(set(degrees))
+    ks = sorted({_degree(k) for k in degrees})
     if not ks:
         raise ValueError("need at least one degree to sweep")
-    if ks[0] < 5:
-        raise ValueError(f"sweep degrees start at 5, got {ks[0]}")
     if order < 1:
         raise ValueError(f"Farey order must be >= 1, got {order}")
-    rows = sweep_row_count(ks, order)
-    if row_cap is not None and rows > row_cap:
-        raise ResourceLimitError(
-            f"sweep would emit {rows} rows; the cap is {row_cap}"
-        )
+    if row_cap is not None:
+        rows = sweep_row_count(ks, order, cap=row_cap)
+        if rows > row_cap:
+            raise ResourceLimitError(
+                f"sweep would emit at least {rows} rows; the cap is {row_cap}"
+            )
 
-    counts: dict[tuple[int, int], tuple[int, ...]] = {}
-    for p, q, identified in iter_identified_counts(order):
-        counts[p, q] = tuple(identified.get(k, 0) for k in ks)
-
-    for p, q in iter_farey_pairs(order):
-        if p == 0 or p == q:
-            continue
-        x = Fraction(p, q)
-        from_cf = cf_form_distribution(x)
-        from_walk = counts[p, q]
-        for i, k in enumerate(ks):
+    for p, q, from_walk in iter_identified_counts(order):
+        from_cf = _cf_form_counts(p, q)
+        from_tree = _interval_form_counts(ks, p, q)
+        for k, count in zip(ks, from_tree):
             yield SweepPoint(
-                x,
-                k,
-                from_cf.probability(k),
-                interval_form_value(k, x),
-                Fraction(from_walk[i], q),
+                p, q, k, from_cf.get(k, 0), count, from_walk.get(k, 0)
             )

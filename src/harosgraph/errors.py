@@ -18,5 +18,5 @@ class AmbiguousBreakpointError(HarosError, ValueError):
 
 
 class NotRationalError(HarosError, TypeError):
-    """An input that must be an exact rational is a float, a bool or not a
-    number at all."""
+    """An input that must be an exact rational, or for a degree an integer,
+    is a float, a bool or not a number at all."""

@@ -70,6 +70,24 @@ def _unit_fraction(x: Fraction, open: bool) -> Fraction:
     return x
 
 
+def _degree(k: int) -> int:
+    """k as a degree of the interval form: an integer >= 5.
+
+    Ints pass through; other integral numbers are converted.  Floats (even
+    6.0), bools and non-numbers raise :class:`NotRationalError`, degrees
+    below 5 ValueError.
+    """
+    if type(k) is not int:
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise NotRationalError(
+                f"a degree must be an integer, got {type(k).__name__} {k!r}"
+            )
+        k = int(k)
+    if k < 5:
+        raise ValueError(f"the interval form needs a degree >= 5, got {k}")
+    return k
+
+
 def cf_expand(x: Fraction) -> ContinuedFraction:
     """Canonical continued-fraction expansion of x in (0, 1].
 
@@ -79,12 +97,17 @@ def cf_expand(x: Fraction) -> ContinuedFraction:
     x = _unit_fraction(x, open=False)
     if x == 0:
         raise ValueError("cf_expand needs 0 < x <= 1, got 0")
-    p, q = x.numerator, x.denominator
+    return ContinuedFraction(_cf_terms(x.numerator, x.denominator))
+
+
+def _cf_terms(p: int, q: int) -> tuple[int, ...]:
+    """Canonical terms of p/q for coprime 0 < p <= q, by Euclid's algorithm:
+    the integer core of :func:`cf_expand`, with no checks."""
     terms = []
     while p:
         terms.append(q // p)
         p, q = q % p, p
-    return ContinuedFraction(tuple(terms))
+    return tuple(terms)
 
 
 def cf_value(cf: ContinuedFraction) -> Fraction:

@@ -183,37 +183,46 @@ def iter_identified_counts(
 ) -> Iterator[tuple[int, int, dict[int, int]]]:
     """Walk every Haros graph with label denominator <= max_denominator.
 
-    Yields (p, q, counts) where counts is the boundary-identified degree
-    multiset of the graph labelled p/q.  The walk runs the same
-    concatenation recursion as :func:`build` but tracks degree
-    multiplicities instead of full sequences, so sweeping a whole Farey
-    sequence costs O(1) dictionary work per fraction instead of O(q).
-    Order of the yielded fractions is not specified.
+    Yields (p, q, counts) for every p/q strictly inside (0, 1), ascending,
+    where counts is the boundary-identified degree multiset of the graph
+    labelled p/q.  The walk runs the same concatenation recursion as
+    :func:`build` but tracks degree multiplicities instead of full
+    sequences, so sweeping a whole Farey sequence costs O(1) dictionary
+    work per fraction instead of O(q).  It visits the Farey tree in order
+    (left subtree, node, right subtree), pruned where the denominator
+    passes max_denominator, which lists F_n sorted: every ancestor of a
+    fraction has a smaller denominator.
     """
     if max_denominator < 2:
         return
     seed = {1: 2}
-    # Stack frames hold the two neighbour graphs as
-    # (p, q, counts, first_degree, last_degree).
-    stack = [((0, 1, seed, 1, 1), (1, 1, seed, 1, 1))]
-    while stack:
-        left, right = stack.pop()
+    # A graph is (p, q, counts, first_degree, last_degree); ``pending``
+    # holds each node whose left subtree is being walked, with its right
+    # neighbour.
+    left, right = (0, 1, seed, 1, 1), (1, 1, seed, 1, 1)
+    pending = []
+    while True:
         pl, ql, cl, fl, ll = left
         pr, qr, cr, fr, lr = right
-        p, q = pl + pr, ql + qr
-        if q > max_denominator:
+        q = ql + qr
+        if q <= max_denominator:
+            counts = dict(cl)
+            for degree, multiplicity in cr.items():
+                counts[degree] = counts.get(degree, 0) + multiplicity
+            for degree in (fl, ll, fr, lr):
+                counts[degree] -= 1
+                if not counts[degree]:
+                    del counts[degree]
+            for degree in (fl + 1, ll + fr, lr + 1):
+                counts[degree] = counts.get(degree, 0) + 1
+            node = (pl + pr, q, counts, fl + 1, lr + 1)
+            pending.append((node, right))
+            right = node
             continue
-        counts = dict(cl)
-        for degree, multiplicity in cr.items():
-            counts[degree] = counts.get(degree, 0) + multiplicity
-        for degree in (fl, ll, fr, lr):
-            counts[degree] -= 1
-            if not counts[degree]:
-                del counts[degree]
-        for degree in (fl + 1, ll + fr, lr + 1):
-            counts[degree] = counts.get(degree, 0) + 1
-        first, last = fl + 1, lr + 1
-
+        if not pending:
+            return
+        left, right = pending.pop()
+        p, q, counts, first, last = left
         identified = dict(counts)
         for degree in (first, last):
             identified[degree] -= 1
@@ -222,7 +231,3 @@ def iter_identified_counts(
         boundary = first + last
         identified[boundary] = identified.get(boundary, 0) + 1
         yield p, q, identified
-
-        node = (p, q, counts, first, last)
-        stack.append((left, node))
-        stack.append((node, right))

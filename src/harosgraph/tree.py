@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .errors import AdjacencyError, ResourceLimitError
-from .exact import _unit_fraction, cf_expand, convergents
+from .exact import _degree, _unit_fraction, cf_expand, convergents
 
 __all__ = [
     "LEFT",
@@ -256,50 +257,63 @@ def locate_for_degree(k: int, x: Fraction) -> EnclosingBracket:
     return EnclosingBracket(Fraction(*lower), Fraction(*pivot), Fraction(*upper), side)
 
 
+def _walk(ks: Iterable[int], p: int, q: int) -> Iterator[tuple[int, ...] | None]:
+    """Integer-pair descent towards p/q, 0 < p/q < 1, for ascending degrees.
+
+    For each degree k of ks (an integer >= 5, checked) the walk goes on from
+    where the last degree left it, down to the pivot level k - 3, one L or
+    R run at a time: the length of a run is a floor division of two
+    cross-products of p/q with the current Farey parents.  It yields
+    (a, b, c, d, below, above): the pivot's Farey parents a/b < p/q < c/d,
+    the last nodes the walk compared against from below and above (or the
+    seeds 0/1 and 1/1, which are never compared), with the gaps
+    below = p·b - q·a and above = q·c - p·d.  Hitting p/q above the pivot
+    level means it is too shallow for this degree and every later one:
+    those get None.  The whole walk costs O(m + len(ks)) for
+    p/q = [a_1, ..., a_m].
+    """
+    a, b, c, d = 0, 1, 1, 1
+    below, above = p, q - p
+    walked = 5
+    for k in ks:
+        steps = _degree(k) - walked
+        # Both gaps stay positive.  The node after an L run of j is
+        # (j*a + c)/(j*b + d), still above p/q while j*below < above; an R
+        # run mirrors that.  Each run is one step of Euclid's algorithm on
+        # the gaps, so a walk takes one iteration per continued-fraction
+        # term.  Equal gaps mean the next node is p/q itself.
+        while steps and below != above:
+            if above > below:
+                run = min((above - 1) // below, steps)
+                c, d = c + run * a, d + run * b
+                above -= run * below
+            else:
+                run = min((below - 1) // above, steps)
+                a, b = a + run * c, b + run * d
+                below -= run * above
+            steps -= run
+        if steps:
+            yield None
+        else:
+            walked = k
+            yield a, b, c, d, below, above
+
+
 def _descend(
-    k: int,
-    p: int,
-    q: int,
-    lo: tuple[int, int] = (0, 1),
-    hi: tuple[int, int] = (1, 1),
-    walked: int = 5,
+    k: int, p: int, q: int
 ) -> tuple[BracketSide, tuple[tuple[int, int], ...] | None]:
     """Integer-pair descent behind :func:`locate_for_degree`, for 0 < p/q < 1.
 
-    Walks from 1/2 towards p/q down to the pivot level k - 3, one L or R run
-    at a time: the length of a run is a floor division of two cross-products
-    of p/q with the current Farey parents.  Returns the side and the five
-    nodes lo < lower child < pivot < upper child < hi as (p, q) pairs, where
-    lo and hi are the pivot's Farey parents, the last nodes the walk
-    compared against from below and above (or the seeds 0/1 and 1/1, which
-    are never compared).  Hitting p/q above the pivot level means it is too
-    shallow: the side is ELSEWHERE and there are no nodes.
-
-    A walk resumes from an earlier result for the same p/q: pass its lo and
-    hi with the smaller degree it was made for as ``walked``.
+    Walks towards p/q down to the pivot level k - 3 (:func:`_walk`) and
+    returns the side and the five nodes lo < lower child < pivot < upper
+    child < hi as (p, q) pairs, where lo and hi are the pivot's Farey
+    parents.  Hitting p/q above the pivot level means it is too shallow:
+    the side is ELSEWHERE and there are no nodes.
     """
-    if k < 5:
-        raise ValueError(f"interval location needs a degree >= 5, got {k}")
-    a, b = lo
-    c, d = hi
-    # Both gaps stay positive: a/b < p/q < c/d.  The node after an L run of
-    # j is (j*a + c)/(j*b + d), still above p/q while j*below < above; an R
-    # run mirrors that.  Each run is one step of Euclid's algorithm on the
-    # gaps, so a walk takes one iteration per continued-fraction term.
-    below, above = p * b - q * a, q * c - p * d
-    steps = k - walked
-    while steps:
-        if above > below:
-            run = min((above - 1) // below, steps)
-            c, d = c + run * a, d + run * b
-            above -= run * below
-        elif below > above:
-            run = min((below - 1) // above, steps)
-            a, b = a + run * c, b + run * d
-            below -= run * above
-        else:
-            return BracketSide.ELSEWHERE, None  # the next node is p/q itself
-        steps -= run
+    state = next(_walk((k,), p, q))
+    if state is None:
+        return BracketSide.ELSEWHERE, None
+    a, b, c, d, below, above = state
     pivot = (a + c, b + d)
     lower = (a + pivot[0], b + pivot[1])
     upper = (pivot[0] + c, pivot[1] + d)

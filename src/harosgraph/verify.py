@@ -17,9 +17,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .distribution import (
+    _interval_form_counts,
     cf_form_distribution,
     degree_distribution_oracle,
-    interval_form_value,
 )
 from .errors import ResourceLimitError
 from .exact import (
@@ -216,7 +216,8 @@ def check_triple_equality(order: int, tally: Tally | None = None) -> Tally:
 
     The construction oracle and the continued-fraction form are compared as
     whole maps (hence for every degree), and the interval form is compared
-    pointwise for every degree from 5 up to one past the boundary degree.
+    pointwise for every degree from 5 up to one past the boundary degree;
+    one descent per x serves all of those degrees.
     """
     t = tally or Tally("triple-equality")
     for p, q in iter_farey_pairs(order):
@@ -229,13 +230,14 @@ def check_triple_equality(order: int, tally: Tally | None = None) -> Tally:
             by_graph.entries == by_cf.entries,
             lambda x=x, a=by_graph, b=by_cf: f"oracle {a.entries} != cf form {b.entries} at {x}",
         )
-        top = sum(cf_expand(min(x, 1 - x)).terms) + 3
-        for k in range(5, top + 1):
+        ks = range(5, level_index(x) + 4)
+        for k, count in zip(ks, _interval_form_counts(ks, p, q)):
+            by_interval = Fraction(count, q)
             t.check(
-                by_cf.probability(k) == interval_form_value(k, x),
-                lambda x=x, k=k: (
+                by_cf.probability(k) == by_interval,
+                lambda x=x, k=k, v=by_interval: (
                     f"P({k}, {x}): cf form {by_cf.probability(k)} != "
-                    f"interval form {interval_form_value(k, x)}"
+                    f"interval form {v}"
                 ),
             )
     return t

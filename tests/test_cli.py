@@ -1,5 +1,6 @@
 """Command-line behaviour: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 
@@ -176,6 +177,24 @@ class TestSweep:
         run(capsys, "sweep", "--k", "5,6,7", "--order", "40", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("csv", "e13502c9cb0a19864836b4eab09ac4aab5f787cb96f8936287c2f7d3b9f37909"),
+            ("json", "d547f6feb3be6beaed83f755b17f9926616b3e81a482bd210443f2bbeccbe72f"),
+        ],
+    )
+    def test_pinned_bytes_order_40(self, capsys, tmp_path, fmt, digest):
+        out_file = tmp_path / f"s.{fmt}"
+        code, out, _ = run(
+            capsys, "sweep", "--k", "5,6,7,8", "--order", "40",
+            "--out", str(out_file), "--format", fmt,
+        )
+        assert code == 0
+        assert out.endswith("wrote 1956 rows to " + str(out_file)
+                            + "; max cross-method discrepancy: 0/1\n")
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
     def test_json_mirrors_field_names(self, capsys, tmp_path):
         out_file = tmp_path / "s.json"
         code, _, _ = run(
@@ -206,6 +225,16 @@ class TestSweep:
         assert "raise it with --max-rows" in err
         assert not out_file.exists()
         assert not os.path.exists(str(out_file) + ".partial")
+
+    def test_huge_order_is_refused_before_counting(self, capsys, tmp_path):
+        out_file = tmp_path / "s.csv"
+        code, _, err = run(
+            capsys, "sweep", "--k", "5", "--order", "100000000",
+            "--out", str(out_file),
+        )
+        assert code == 3
+        assert "the cap is 5000000 (raise it with --max-rows)" in err
+        assert not out_file.exists()
 
     def test_rejects_low_degree(self, capsys, tmp_path):
         code, _, _ = run(

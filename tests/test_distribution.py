@@ -1,6 +1,7 @@
 """The three distribution routes and the sweep harness."""
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 
@@ -9,6 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from harosgraph.distribution import (
+    SweepPoint,
+    _cf_form_counts,
+    _interval_form_counts,
     base_probability,
     cf_form_distribution,
     degree_distribution_oracle,
@@ -25,8 +29,9 @@ from harosgraph.errors import (
     ResourceLimitError,
 )
 from harosgraph.exact import cf_expand
-from harosgraph.graphs import build, initial_graph
+from harosgraph.graphs import build, identify_boundary, initial_graph
 from harosgraph.tree import (
+    BracketSide,
     farey_parents,
     iter_farey_pairs,
     level_index,
@@ -34,6 +39,7 @@ from harosgraph.tree import (
     symbolic_path,
     tree_children,
 )
+from test_tree import fibonacci_ratios, stepwise_brackets
 
 
 def unit_fractions(max_den=200):
@@ -149,13 +155,37 @@ UNIT_INPUT_ENTRY_POINTS = {
 }
 
 
+# Entry points taking a degree k >= 5, called with a valid x
+DEGREE_INPUT_ENTRY_POINTS = {
+    "interval_form_value(k)": lambda k: interval_form_value(k, Fraction(2, 7)),
+    "interval_form_value_real(k)": lambda k: interval_form_value_real(k, 0.3),
+    "locate_for_degree(k)": lambda k: locate_for_degree(k, Fraction(2, 7)),
+    "sweep(k)": lambda k: list(sweep([k], 4)),
+}
+BAD_INPUT_ENTRY_POINTS = {**UNIT_INPUT_ENTRY_POINTS, **DEGREE_INPUT_ENTRY_POINTS}
+
+
 @pytest.mark.parametrize("bad", [0.4, True, "2/5", None])
-@pytest.mark.parametrize("name", sorted(UNIT_INPUT_ENTRY_POINTS))
+@pytest.mark.parametrize("name", sorted(BAD_INPUT_ENTRY_POINTS))
 def test_non_rational_input_is_a_package_type_error(name, bad):
     with pytest.raises(NotRationalError) as info:
-        UNIT_INPUT_ENTRY_POINTS[name](bad)
+        BAD_INPUT_ENTRY_POINTS[name](bad)
     assert isinstance(info.value, HarosError)
     assert isinstance(info.value, TypeError)
+
+
+@pytest.mark.parametrize("bad", [6.0, 5.5, False, "6"])
+@pytest.mark.parametrize("name", sorted(DEGREE_INPUT_ENTRY_POINTS))
+def test_non_integer_degree_is_a_package_type_error(name, bad):
+    # a float degree used to slip through: 6.0 gave a float, 5.5 gave 1/7
+    with pytest.raises(NotRationalError):
+        DEGREE_INPUT_ENTRY_POINTS[name](bad)
+
+
+@pytest.mark.parametrize("name", sorted(DEGREE_INPUT_ENTRY_POINTS))
+def test_degree_below_five_is_a_value_error(name):
+    with pytest.raises(ValueError):
+        DEGREE_INPUT_ENTRY_POINTS[name](4)
 
 
 class TestDegreeDistributionOracle:
@@ -246,6 +276,79 @@ class TestIntervalFormValue:
         )
 
 
+def stepwise_counts(p, q, ks):
+    """P(k, p/q)·q for consecutive ks from 5, by the linear map of the
+    bracket that the step-per-level reference walk finds for min(x, 1 - x)."""
+    y = Fraction(min(p, q - p), q)
+    out = []
+    for side, nodes in stepwise_brackets(y.numerator, q, ks[-1]):
+        if side is BracketSide.LOWER_SUBINTERVAL:
+            value = nodes[1][1] * y - nodes[1][0]
+        elif side is BracketSide.UPPER_SUBINTERVAL:
+            value = nodes[3][0] - nodes[3][1] * y
+        elif side is BracketSide.AT_CHILD_LEVEL:
+            value = Fraction(1, q)
+        else:
+            value = Fraction(0)
+        out.append(value * q)
+    return out
+
+
+class TestIntervalFormCounts:
+    """The shared-walk integer core against the step-per-level reference."""
+
+    def assert_matches_stepwise(self, p, q):
+        ks = range(5, level_index(Fraction(p, q)) + 5)
+        assert _interval_form_counts(ks, p, q) == stepwise_counts(p, q, ks), (p, q)
+
+    def test_matches_stepwise_f150(self):
+        for p, q in iter_farey_pairs(150):
+            if 0 < p < q:
+                self.assert_matches_stepwise(p, q)
+
+    @pytest.mark.parametrize("e", [10, 11, 12, 13])
+    def test_matches_stepwise_one_term(self, e):
+        self.assert_matches_stepwise(1, 2**e)
+        self.assert_matches_stepwise(2**e - 1, 2**e)
+
+    def test_matches_stepwise_fibonacci(self):
+        for p, q in fibonacci_ratios(10**5):
+            self.assert_matches_stepwise(p, q)
+            self.assert_matches_stepwise(q - p, q)
+
+    def test_subsets_of_degrees_share_the_walk(self):
+        # skipping degrees must not change the ones asked for
+        p, q = 10, 23
+        every = _interval_form_counts(range(5, 13), p, q)
+        assert _interval_form_counts([6, 9, 12], p, q) == [every[1], every[4], every[7]]
+        assert _interval_form_counts([], p, q) == []
+
+
+class TestCfFormCounts:
+    def test_is_the_distribution_times_q(self):
+        for p, q in iter_farey_pairs(100):
+            if 0 < p < q:
+                dist = cf_form_distribution(Fraction(p, q))
+                expected = {k: v * q for k, v in dist.entries.items()}
+                assert _cf_form_counts(p, q) == expected, (p, q)
+
+    def test_is_the_oracle_multiset(self):
+        for p, q in iter_farey_pairs(60):
+            if 0 < p < q:
+                oracle = identify_boundary(build(Fraction(p, q))).as_dict()
+                assert _cf_form_counts(p, q) == oracle, (p, q)
+
+    @pytest.mark.parametrize(
+        "p, q", [(3, 10**200 + 7), (10**200 + 4, 10**200 + 7), (317811, 514229)]
+    )
+    def test_deep_inputs(self, p, q):
+        counts = _cf_form_counts(p, q)
+        assert sum(counts.values()) == q
+        assert sum(k * m for k, m in counts.items()) == 4 * q - 2
+        by_interval = interval_form_distribution(Fraction(p, q)).entries
+        assert counts == {k: v * q for k, v in by_interval.items()}
+
+
 class TestIntervalFormValueReal:
     def test_worked_values(self):
         assert interval_form_value_real(5, 0.40) == pytest.approx(0.2, abs=1e-12)
@@ -311,6 +414,38 @@ class TestSweep:
         with pytest.raises(ResourceLimitError):
             list(sweep([5], 100, row_cap=10))
 
+    def test_row_cap_is_inclusive(self):
+        # F_10 has 31 interior fractions
+        assert len(list(sweep([5], 10, row_cap=31))) == 31
+        with pytest.raises(ResourceLimitError, match="the cap is 30"):
+            list(sweep([5], 10, row_cap=30))
+
+    def test_no_cap_skips_the_count(self, monkeypatch):
+        import harosgraph.distribution
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rows counted without a cap")
+
+        monkeypatch.setattr(harosgraph.distribution, "sweep_row_count", refuse)
+        assert len(list(sweep([5, 6], 10, row_cap=None))) == 62
+
+    def test_row_cap_holds_before_the_sieve(self):
+        # an order of 10**9 would need gigabytes to count in full
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                next(sweep([5], 10**9))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_rows_are_integer_counts_over_q(self):
+        for r in sweep([5, 6, 7, 8], 30):
+            assert (r.x.numerator, r.x.denominator) == (r.p, r.q)
+            assert r.oracle == Fraction(r.oracle_count, r.q)
+            assert r.cf_form_count == r.interval_form_count == r.oracle_count
+
     def test_rejects_low_degrees(self):
         with pytest.raises(ValueError):
             list(sweep([4], 10))
@@ -321,3 +456,42 @@ class TestSweep:
                 1 for p, q in iter_farey_pairs(order) if p not in (0, q)
             )
             assert sweep_row_count([5, 6], order) == 2 * interior
+
+    def test_row_count_stops_past_the_cap(self):
+        exact = sweep_row_count([5, 6], 1000)
+        for cap in (0, 10, 1000, exact - 1):
+            assert cap < sweep_row_count([5, 6], 1000, cap=cap) <= exact
+        # small caps that a partial count can meet exactly (3, 5 and 9)
+        for cap in range(50):
+            assert sweep_row_count([5], 1000, cap=cap) > cap
+        for cap in (exact, 10**9):
+            assert sweep_row_count([5, 6], 1000, cap=cap) == exact
+
+    def test_row_count_without_degrees_sieves_nothing(self, monkeypatch):
+        import harosgraph.distribution
+
+        limits = []
+
+        def interior_count(order):
+            limits.append(order)
+            return 0
+
+        monkeypatch.setattr(harosgraph.distribution, "_interior_count", interior_count)
+        assert sweep_row_count([], 10**9, cap=5) == 0
+        assert limits == []
+
+
+class TestSweepPoint:
+    def test_properties_are_reduced_fractions(self):
+        point = SweepPoint(3, 10, 5, 4, 5, 0)
+        assert point.x == Fraction(3, 10)
+        assert (point.cf_form.numerator, point.cf_form.denominator) == (2, 5)
+        assert (point.interval_form.numerator, point.interval_form.denominator) == (1, 2)
+        assert (point.oracle.numerator, point.oracle.denominator) == (0, 1)
+        for value in (point.x, point.cf_form, point.interval_form, point.oracle):
+            assert type(value) is Fraction
+
+    def test_is_immutable(self):
+        point = SweepPoint(1, 3, 5, 1, 1, 1)
+        with pytest.raises(AttributeError):
+            point.k = 6

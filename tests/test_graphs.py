@@ -204,6 +204,11 @@ class TestIdentifiedCountsWalk:
     def test_empty_below_two(self):
         assert list(iter_identified_counts(1)) == []
 
+    @pytest.mark.parametrize("n", [2, 3, 10, 60, 200])
+    def test_yields_the_interior_of_farey_in_order(self, n):
+        walked = [(p, q) for p, q, _ in iter_identified_counts(n)]
+        assert walked == [(p, q) for p, q in iter_farey_pairs(n) if 0 < p < q]
+
 
 def test_haros_graph_is_hashable_value():
     g = HarosGraph(Fraction(1, 2), (2, 2, 2))

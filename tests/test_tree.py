@@ -14,6 +14,7 @@ from harosgraph.tree import (
     MAX_TREE_LEVEL,
     SymbolicPath,
     _descend,
+    _walk,
     farey_parents,
     farey_sequence,
     iter_farey_pairs,
@@ -316,8 +317,15 @@ class TestLocateForDegree:
 
     def assert_matches_stepwise(self, p, q):
         last_k = level_index(Fraction(p, q)) + 4
+        one_walk = _walk(range(5, last_k + 1), p, q)
         for k, expected in enumerate(stepwise_brackets(p, q, last_k), start=5):
             assert _descend(k, p, q) == expected, f"{p}/{q} at k = {k}"
+            # the walk shared by all degrees stops at the same Farey parents
+            state, nodes = next(one_walk), expected[1]
+            if nodes is None:
+                assert state is None, f"{p}/{q} at k = {k}"
+            else:
+                assert state[:4] == nodes[0] + nodes[4], f"{p}/{q} at k = {k}"
 
     def test_descent_matches_stepwise_walk_f150(self):
         for p, q in iter_farey_pairs(150):
@@ -339,17 +347,17 @@ class TestLocateForDegree:
             self.assert_matches_stepwise(p, q)
 
     def test_resumed_descent_matches_fresh_one(self):
+        # a walk that went to k0 and goes on to k lands where a fresh walk
+        # to k does
         for p, q in iter_farey_pairs(60):
             if not 0 < p < q:
                 continue
             last_k = level_index(Fraction(p, q)) + 4
+            fresh = {k: next(_walk((k,), p, q)) for k in range(5, last_k + 1)}
             for k0 in range(5, last_k + 1):
-                _, nodes = _descend(k0, p, q)
-                if nodes is None:
-                    continue
                 for k in range(k0, last_k + 1):
-                    resumed = _descend(k, p, q, nodes[0], nodes[4], k0)
-                    assert resumed == _descend(k, p, q), (p, q, k0, k)
+                    _, resumed = _walk((k0, k), p, q)
+                    assert resumed == fresh[k], (p, q, k0, k)
 
     def test_locates_a_bigint_at_its_own_level(self):
         # one step per continued-fraction term: a level of about 10**200 is
