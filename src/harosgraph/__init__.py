@@ -37,7 +37,6 @@ from .exact import (
 )
 from .graphs import (
     HarosGraph,
-    IdentifiedDegreeMultiset,
     build,
     concat,
     identify_boundary,
@@ -72,7 +71,6 @@ __all__ = [
     "EnclosingBracket",
     "HarosError",
     "HarosGraph",
-    "IdentifiedDegreeMultiset",
     "NotRationalError",
     "ResourceLimitError",
     "SweepPoint",

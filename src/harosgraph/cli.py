@@ -20,6 +20,7 @@ from typing import Sequence
 
 from .distribution import (
     DEFAULT_ROW_CAP,
+    DegreeDistribution,
     cf_form_distribution,
     degree_distribution_oracle,
     interval_form_distribution,
@@ -38,7 +39,6 @@ EXIT_RESOURCE = 3
 EXIT_STRICT_MISMATCH = 4
 
 DEFAULT_ORACLE_CAP = 10**6
-ORACLE_CAP_ENV = "HAROS_MAX_Q"
 
 SWEEP_CSV_HEADER = (
     "x_num,x_den,x_float,k,"
@@ -96,16 +96,13 @@ def _degree_list(text: str) -> list[int]:
     return sorted(set(out))
 
 
-def _oracle_cap(args: argparse.Namespace) -> int:
-    if args.max_q is not None:
-        return args.max_q
-    env = os.environ.get(ORACLE_CAP_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise _UsageError(f"{ORACLE_CAP_ENV} must be an integer, got {env!r}")
-    return DEFAULT_ORACLE_CAP
+def _check_build_cap(x: Fraction, cap: int) -> None:
+    """Refuse an explicit graph build of x above the --max-q cap."""
+    if x.denominator > cap:
+        raise ResourceLimitError(
+            f"denominator {x.denominator} exceeds the build cap {cap} "
+            "(raise it with --max-q)"
+        )
 
 
 def _fmt(value: Fraction) -> str:
@@ -153,12 +150,7 @@ def _cmd_cf(args: argparse.Namespace) -> int:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     x = _parse_fraction(args.fraction)
-    cap = _oracle_cap(args)
-    if x.denominator > cap:
-        raise ResourceLimitError(
-            f"denominator {x.denominator} exceeds the build cap {cap} "
-            f"(raise it with --max-q or {ORACLE_CAP_ENV})"
-        )
+    _check_build_cap(x, args.max_q)
     g = build(x)
     interior = 0 < x < 1
     identified = identify_boundary(g) if interior else None
@@ -170,7 +162,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
             "edges": g.edge_count,
             "degree_sequence": list(g.degrees),
             "identified_counts": (
-                {str(k): m for k, m in identified.counts} if identified else {}
+                {str(k): m for k, m in identified.items()} if identified else {}
             ),
         }
         if note:
@@ -187,7 +179,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         for position, degree in enumerate(g.degrees):
             writer.writerow(["sequence", position, degree])
         if identified:
-            for degree, multiplicity in identified.counts:
+            for degree, multiplicity in identified.items():
                 writer.writerow(["multiset", degree, multiplicity])
     return EXIT_OK
 
@@ -200,29 +192,24 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         return EXIT_OK
     method = args.method
     if method in ("oracle", "all"):
-        cap = _oracle_cap(args)
-        if x.denominator > cap:
-            raise ResourceLimitError(
-                f"denominator {x.denominator} exceeds the oracle cap {cap} "
-                f"(raise it with --max-q or {ORACLE_CAP_ENV})"
-            )
-    columns: dict[str, dict[int, Fraction]] = {}
+        _check_build_cap(x, args.max_q)
+    columns: dict[str, DegreeDistribution] = {}
     if method in ("thm1", "all"):
-        columns["thm1"] = cf_form_distribution(x).entries
+        columns["thm1"] = cf_form_distribution(x)
     if method in ("thm2", "all"):
-        columns["thm2"] = interval_form_distribution(x).entries
+        columns["thm2"] = interval_form_distribution(x)
     if method in ("oracle", "all"):
-        columns["oracle"] = degree_distribution_oracle(x).entries
-    degrees = sorted(set().union(*columns.values()))
+        columns["oracle"] = degree_distribution_oracle(x)
+    degrees = sorted(set().union(*(dist.counts for dist in columns.values())))
     names = list(columns)
     mismatch = False
     print("  ".join(["k"] + names + (["match"] if method == "all" else [])))
     for k in degrees:
         cells = [str(k)]
-        values = [columns[name].get(k, Fraction(0)) for name in names]
-        cells.extend(_fmt(v) for v in values)
+        cells.extend(_fmt(columns[name].probability(k)) for name in names)
         if method == "all":
-            agree = len(set(values)) == 1
+            # every route counts nodes over the same q = x.denominator
+            agree = len({columns[name].counts.get(k, 0) for name in names}) == 1
             mismatch = mismatch or not agree
             cells.append("ok" if agree else "MISMATCH")
         print("  ".join(cells))
@@ -332,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument(
         "--max-q",
         type=_positive_int,
-        default=None,
+        default=DEFAULT_ORACLE_CAP,
         help=f"override the build denominator cap (default {DEFAULT_ORACLE_CAP})",
     )
     p_build.set_defaults(handler=_cmd_build)
@@ -353,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit 4 if the methods disagree (with --method all)",
     )
-    p_dist.add_argument("--max-q", type=_positive_int, default=None)
+    p_dist.add_argument("--max-q", type=_positive_int, default=DEFAULT_ORACLE_CAP)
     p_dist.set_defaults(handler=_cmd_dist)
 
     p_sweep = sub.add_parser(

@@ -1,8 +1,8 @@
 """Three independent routes to the degree distribution P(k, x).
 
 * ``degree_distribution_oracle``: build the graph explicitly, identify the
-  boundary node, normalise by q.  Exact, and linear in q: the build writes
-  each continued-fraction run of tree steps in one pass.
+  boundary node, count the nodes of each degree.  Exact, and linear in q:
+  the build writes each continued-fraction run of tree steps in one pass.
 * ``cf_form_distribution``: closed form driven by the continued fraction of
   x.  Degrees above 4 appear exactly at the cumulative term sums plus three,
   with multiplicity the denominator of the decremented tail, plus a single
@@ -16,8 +16,11 @@
   walk per x, O(m + number of degrees), so none of them needs a cap.
 
 For x = p/q every probability is a count of nodes over q, so each route has
-an integer core that returns those counts; the public functions wrap them in
-:class:`~fractions.Fraction` and ``sweep`` passes them on unreduced.
+an integer core that returns those counts, and the counts over q are the
+one form every layer passes on: a :class:`DegreeDistribution` stores them as
+they are, and ``sweep`` yields them unreduced.  Only the public accessors
+(``entries``, ``probability``, ``interval_form_value``) build
+:class:`~fractions.Fraction` values.
 
 P is symmetric about 1/2, so x > 1/2 is evaluated through the mirror
 x -> 1 - x; the distributions of the endpoints 0 and 1 are identically zero
@@ -35,9 +38,9 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import AmbiguousBreakpointError, ResourceLimitError
-from .exact import _cf_terms, _degree, _unit_fraction, cf_expand, suffix_continuants
+from .exact import _cf_terms, _degree, _unit_fraction, suffix_continuants
 from .graphs import build, identify_boundary, iter_identified_counts
-from .tree import BracketSide, _descend, _walk
+from .tree import _walk
 
 __all__ = [
     "DEFAULT_ROW_CAP",
@@ -56,30 +59,41 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DegreeDistribution:
-    """Exact map degree -> probability for one graph; zeros are implicit.
+    """Exact degree distribution of one graph, as node counts over q.
 
-    For labels strictly inside the unit interval the stored probabilities
-    are positive and sum to one; the endpoints carry an empty map.  The
-    map is a read-only copy of the one passed in.
+    ``counts`` maps each degree to its number of nodes in the
+    boundary-identified graph of x = p/q, and P(k, x) is
+    counts[k] / denominator; zeros are implicit.  For labels strictly
+    inside the unit interval the counts are positive and sum to q; the
+    endpoints carry an empty map.  ``counts`` is a read-only copy of the
+    map passed in, and ``entries`` gives the same data as a read-only map
+    degree -> :class:`~fractions.Fraction`.
     """
 
-    entries: Mapping[int, Fraction]
+    counts: Mapping[int, int]
     denominator: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
+
+    @property
+    def entries(self) -> Mapping[int, Fraction]:
+        q = self.denominator
+        return MappingProxyType({k: Fraction(m, q) for k, m in self.counts.items()})
 
     def probability(self, k: int) -> Fraction:
-        return self.entries.get(k, Fraction(0))
+        return Fraction(self.counts.get(k, 0), self.denominator)
 
     def support(self) -> list[int]:
-        return sorted(self.entries)
+        return sorted(self.counts)
 
     def total(self) -> Fraction:
-        return sum(self.entries.values(), Fraction(0))
+        return Fraction(sum(self.counts.values()), self.denominator)
 
     def mean_degree(self) -> Fraction:
-        return sum((k * p for k, p in self.entries.items()), Fraction(0))
+        return Fraction(
+            sum(k * m for k, m in self.counts.items()), self.denominator
+        )
 
 
 def base_probability(k: int, x: Fraction) -> Fraction:
@@ -100,23 +114,18 @@ def base_probability(k: int, x: Fraction) -> Fraction:
 
 
 def degree_distribution_oracle(x: Fraction) -> DegreeDistribution:
-    """Distribution by explicit construction: build, identify, divide by q."""
+    """Distribution by explicit construction: build, identify, over q."""
     x = _unit_fraction(x, open=False)
     if x == 0 or x == 1:
         return DegreeDistribution({}, x.denominator)
-    identified = identify_boundary(build(x))
-    q = identified.total
-    return DegreeDistribution(
-        {k: Fraction(m, q) for k, m in identified.counts}, q
-    )
+    return DegreeDistribution(identify_boundary(build(x)), x.denominator)
 
 
 def cf_form_distribution(x: Fraction) -> DegreeDistribution:
     """Exact distribution of x in (0, 1) from its continued fraction alone."""
     x = _unit_fraction(x, open=True)
     q = x.denominator
-    counts = _cf_form_counts(x.numerator, q)
-    return DegreeDistribution({k: Fraction(m, q) for k, m in counts.items()}, q)
+    return DegreeDistribution(_cf_form_counts(x.numerator, q), q)
 
 
 def _cf_form_counts(p: int, q: int) -> dict[int, int]:
@@ -159,43 +168,29 @@ def _interval_form_counts(ks: Sequence[int], p: int, q: int) -> list[int]:
     For coprime 0 < p < q and ascending integer degrees ks >= 5 (a float,
     bool or str degree raises :class:`NotRationalError`, one below 5
     ValueError).  p/q > 1/2 is mirrored first.  One descent serves every
-    degree (:func:`tree._walk`), so the cost is O(m + len(ks)).  The count
-    is the linear piece times q, the cross-product of p/q with the child on
-    its side of the pivot (a + c)/(b + d): q_c·p - p_c·q for the lower
-    child c, p_c·q - q_c·p for the upper one.  Where that is not positive
-    the count is 1 exactly on the child and 0 beyond it; it is also 0 on
-    the pivot and above the pivot level.
+    degree (:func:`tree._walk`), so the cost is O(m + len(ks)); each
+    walk state gives its count through :func:`_count_at`.
     """
     if 2 * p > q:
         p = q - p
-    out = []
-    for state in _walk(ks, p, q):
-        if state is None or state[4] == state[5]:
-            out.append(0)  # p/q is above the pivot level, or the pivot
-            continue
-        a, b, c, d, below, above = state
-        if below < above:
-            cross = (2 * b + d) * p - (2 * a + c) * q
-        else:
-            cross = (a + 2 * c) * q - (b + 2 * d) * p
-        out.append(cross if cross > 0 else 1 if cross == 0 else 0)
-    return out
+    return [_count_at(state) for state in _walk(ks, p, q)]
 
 
-def _linear_piece(
-    side: BracketSide, nodes: tuple[tuple[int, int], ...] | None, q: int
-) -> tuple[int, int | Fraction]:
-    """Slope and intercept of P(k, .) at a point with denominator q, from
-    the side and nodes that :func:`tree._descend` found for it."""
-    if side is BracketSide.LOWER_SUBINTERVAL:
-        p_c, q_c = nodes[1]
-        return q_c, -p_c
-    if side is BracketSide.UPPER_SUBINTERVAL:
-        p_c, q_c = nodes[3]
-        return -q_c, p_c
-    if side is BracketSide.AT_CHILD_LEVEL:
-        return 0, Fraction(1, q)
-    return 0, 0
+def _count_at(state: tuple[int, ...] | None) -> int:
+    """P(k, p/q)·q from the :func:`tree._walk` state of p/q for degree k.
+
+    The count is the linear piece times q, the cross-product of p/q with
+    the child on its side of the pivot (a + c)/(b + d): for the lower child
+    (2a + c)/(2b + d) that is 2·below - above, for the upper child
+    (a + 2c)/(b + 2d) it is 2·above - below.  Where that is not positive
+    the count is 1 exactly on the child and 0 beyond it; it is also 0 on
+    the pivot (equal gaps) and above the pivot level (no state).
+    """
+    if state is None or state[4] == state[5]:
+        return 0  # above the pivot level, or on the pivot
+    below, above = state[4], state[5]
+    cross = 2 * below - above if below < above else 2 * above - below
+    return cross if cross > 0 else 1 if cross == 0 else 0
 
 
 # Floating inputs closer than this to a comparison breakpoint cannot be
@@ -206,62 +201,68 @@ BREAKPOINT_EPS = Fraction(4 * sys.float_info.epsilon)
 def interval_form_value_real(k: int, x: float) -> float:
     """Float evaluation of the interval form via an exact dyadic surrogate.
 
-    The float is converted to its exact binary rational, the bracket is
-    located exactly, and only the final linear map is evaluated in floating
-    point.  Raises :class:`AmbiguousBreakpointError` when x sits within a
-    few ulps of a breakpoint without being exactly on it.
+    The float y = min(x, 1 - x) is converted to its exact binary rational
+    p/q and the count P(k, p/q)·q is found exactly, by the same rule as
+    :func:`interval_form_value`; the result is count / q, correctly
+    rounded, so it equals ``float(interval_form_value(k, Fraction(y)))``.
+    Raises :class:`AmbiguousBreakpointError` when x sits within a few ulps
+    of a breakpoint without being exactly on it.
     """
     if not 0.0 < x < 1.0:
         raise ValueError(f"x must lie strictly inside (0, 1), got {x!r}")
     y = min(x, 1.0 - x)
     p, q = y.as_integer_ratio()
-    side, nodes = _descend(k, p, q)
-    # The walk closes in on y from both sides, so the nearest node it
-    # compared against is one of these five; b > 1 skips the seeds.
-    gaps = [
-        Fraction(abs(p * b - q * a), q * b)
-        for a, b in nodes or ()
-        if b > 1 and p * b != q * a
-    ]
-    if gaps and min(gaps) < BREAKPOINT_EPS:
-        raise AmbiguousBreakpointError(
-            f"{x!r} lies within {float(min(gaps)):.3g} of a tree breakpoint; "
-            "the side of the linear piece is ambiguous at this precision"
+    state = next(_walk((k,), p, q))
+    if state is not None:
+        # The walk closes in on y from both sides, so the nearest node it
+        # compared against is one of these five; b > 1 skips the seeds.
+        a, b, c, d = state[:4]
+        nodes = (
+            (a, b), (c, d), (a + c, b + d),  # the pivot's parents, the pivot
+            (2 * a + c, 2 * b + d), (a + 2 * c, b + 2 * d),  # its children
         )
-    slope, intercept = _linear_piece(side, nodes, q)
-    return slope * y + intercept
+        gaps = [
+            Fraction(abs(p * b - q * a), q * b)
+            for a, b in nodes
+            if b > 1 and p * b != q * a
+        ]
+        if gaps and min(gaps) < BREAKPOINT_EPS:
+            raise AmbiguousBreakpointError(
+                f"{x!r} lies within {float(min(gaps)):.3g} of a tree breakpoint; "
+                "the side of the linear piece is ambiguous at this precision"
+            )
+    return _count_at(state) / q
 
 
 def interval_form_distribution(x: Fraction) -> DegreeDistribution:
     """Full distribution with every degree k >= 5 taken from the interval form.
 
-    Degrees 2 and 3 come from the base formulas and the single documented
-    exception P(4, 1/2) = 1/2 is filled in directly.  The continued fraction
-    only supplies the candidate degrees to query; each value still comes
-    from the interval location, so this stays independent of
-    :func:`cf_form_distribution`.  The degrees ascend, so one descent
-    serves them all (:func:`_interval_form_counts`).
+    Degrees 2 and 3 come from the base formulas, as the counts min(p, q - p)
+    and |q - 2p|, and the single documented exception P(4, 1/2) = 1/2 is
+    filled in directly.  The continued fraction only supplies the candidate
+    degrees to query; each count still comes from the interval location,
+    so this stays independent of :func:`cf_form_distribution`.  The
+    degrees ascend, so one descent serves them all
+    (:func:`_interval_form_counts`).
     """
     x = _unit_fraction(x, open=True)
-    entries = {}
-    for k in (2, 3):
-        value = base_probability(k, x)
-        if value:
-            entries[k] = value
-    if x == Fraction(1, 2):
-        entries[4] = Fraction(1, 2)
-    terms = cf_expand(min(x, 1 - x)).terms
+    p, q = x.numerator, x.denominator
+    low = min(p, q - p)
+    counts = {2: low}
+    if q - 2 * low:
+        counts[3] = q - 2 * low
+    if q == 2:
+        counts[4] = 1
     # Degrees above 4 sit at the cumulative term sums plus three and at the
     # boundary degree, the level plus two (only 4 for x = 1/2)
-    *sums, level = accumulate(terms)
+    *sums, level = accumulate(_cf_terms(low, q))
     degrees = [s + 3 for s in sums]
     if level + 2 >= 5:
         degrees.append(level + 2)
-    q = x.denominator
-    for k, count in zip(degrees, _interval_form_counts(degrees, x.numerator, q)):
+    for k, count in zip(degrees, _interval_form_counts(degrees, p, q)):
         if count:
-            entries[k] = Fraction(count, q)
-    return DegreeDistribution(entries, q)
+            counts[k] = count
+    return DegreeDistribution(counts, q)
 
 
 class SweepPoint(NamedTuple):

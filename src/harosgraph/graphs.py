@@ -20,7 +20,6 @@ from .tree import LEFT, symbolic_path
 __all__ = [
     "BUILD_MAX_DENOMINATOR",
     "HarosGraph",
-    "IdentifiedDegreeMultiset",
     "build",
     "concat",
     "identify_boundary",
@@ -51,21 +50,6 @@ class HarosGraph:
     @property
     def edge_count(self) -> int:
         return sum(self.degrees) // 2
-
-
-@dataclass(frozen=True)
-class IdentifiedDegreeMultiset:
-    """Degree multiplicities after merging the two extreme nodes into one.
-
-    The boundary node keeps the sum of the extreme degrees, so the total
-    degree is conserved and exactly q nodes remain.
-    """
-
-    counts: tuple[tuple[int, int], ...]
-    total: int
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.counts)
 
 
 def initial_graph(label: Fraction) -> HarosGraph:
@@ -163,9 +147,12 @@ def _right_steps(cur: list[int], right: list[int], r: int) -> list[int]:
     return out
 
 
-def identify_boundary(g: HarosGraph) -> IdentifiedDegreeMultiset:
+def identify_boundary(g: HarosGraph) -> dict[int, int]:
     """Merge the extreme nodes of g into a single boundary node.
 
+    Returns a fresh dict degree -> number of nodes, ascending by degree.
+    The boundary node keeps the sum of the extreme degrees, so the total
+    degree is conserved and the counts sum to q, the node count less one.
     Undefined for the two-node seed graph; the endpoints of the unit
     interval get the all-zero degree distribution by convention instead.
     """
@@ -173,9 +160,7 @@ def identify_boundary(g: HarosGraph) -> IdentifiedDegreeMultiset:
         raise ValueError("boundary identification is undefined for the seed graph")
     counts = Counter(g.degrees[1:-1])
     counts[g.degrees[0] + g.degrees[-1]] += 1
-    return IdentifiedDegreeMultiset(
-        tuple(sorted(counts.items())), len(g.degrees) - 1
-    )
+    return dict(sorted(counts.items()))
 
 
 def iter_identified_counts(
@@ -184,8 +169,9 @@ def iter_identified_counts(
     """Walk every Haros graph with label denominator <= max_denominator.
 
     Yields (p, q, counts) for every p/q strictly inside (0, 1), ascending,
-    where counts is the boundary-identified degree multiset of the graph
-    labelled p/q.  The walk runs the same concatenation recursion as
+    where counts equals what :func:`identify_boundary` returns for the
+    graph labelled p/q (the same degree -> count dict, in no particular
+    degree order).  The walk runs the same concatenation recursion as
     :func:`build` but tracks degree multiplicities instead of full
     sequences, so sweeping a whole Farey sequence costs O(1) dictionary
     work per fraction instead of O(q).  It visits the Farey tree in order

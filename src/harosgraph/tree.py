@@ -242,19 +242,40 @@ def tree_children(x: Fraction) -> tuple[Fraction, Fraction]:
 def locate_for_degree(k: int, x: Fraction) -> EnclosingBracket:
     """Locate x relative to tree levels k-3 (pivots) and k-2 (children).
 
-    Descends the tree along the path of x one L or R run at a time, so no
-    level is materialised and the cost is O(m) for x = [a_1, ..., a_m],
-    whatever k is.  The side tells whether x falls strictly inside
-    the lower or upper subinterval around its pivot-level ancestor, exactly
-    on a level k-2 fraction, exactly on the pivot or shallower, or outside
-    the bracket altogether.
+    Descends the tree along the path of x one L or R run at a time
+    (:func:`_walk`), so no level is materialised and the cost is O(m) for
+    x = [a_1, ..., a_m], whatever k is.  The side tells whether x falls
+    strictly inside the lower or upper subinterval around its pivot-level
+    ancestor, exactly on a level k-2 fraction, exactly on the pivot, or
+    outside the bracket altogether.  When x is shallower than the pivot
+    level the side is ELSEWHERE and the three fractions are None.
     """
     x = _unit_fraction(x, open=True)
-    side, nodes = _descend(k, x.numerator, x.denominator)
-    if nodes is None:
-        return EnclosingBracket(None, None, None, side)
-    _, lower, pivot, upper, _ = nodes
-    return EnclosingBracket(Fraction(*lower), Fraction(*pivot), Fraction(*upper), side)
+    state = next(_walk((k,), x.numerator, x.denominator))
+    if state is None:
+        return EnclosingBracket(None, None, None, BracketSide.ELSEWHERE)
+    a, b, c, d, below, above = state
+    # The walk's gaps give the cross-products against the pivot and its
+    # children; to_child > 0 exactly when x lies strictly between the child
+    # and the pivot
+    to_pivot = below - above
+    if to_pivot == 0:
+        side = BracketSide.AT_PIVOT
+    else:
+        if to_pivot < 0:
+            side, to_child = BracketSide.LOWER_SUBINTERVAL, 2 * below - above
+        else:
+            side, to_child = BracketSide.UPPER_SUBINTERVAL, 2 * above - below
+        if to_child == 0:
+            side = BracketSide.AT_CHILD_LEVEL
+        elif to_child < 0:
+            side = BracketSide.ELSEWHERE
+    return EnclosingBracket(
+        Fraction(2 * a + c, 2 * b + d),
+        Fraction(a + c, b + d),
+        Fraction(a + 2 * c, b + 2 * d),
+        side,
+    )
 
 
 def _walk(ks: Iterable[int], p: int, q: int) -> Iterator[tuple[int, ...] | None]:
@@ -298,37 +319,3 @@ def _walk(ks: Iterable[int], p: int, q: int) -> Iterator[tuple[int, ...] | None]
             walked = k
             yield a, b, c, d, below, above
 
-
-def _descend(
-    k: int, p: int, q: int
-) -> tuple[BracketSide, tuple[tuple[int, int], ...] | None]:
-    """Integer-pair descent behind :func:`locate_for_degree`, for 0 < p/q < 1.
-
-    Walks towards p/q down to the pivot level k - 3 (:func:`_walk`) and
-    returns the side and the five nodes lo < lower child < pivot < upper
-    child < hi as (p, q) pairs, where lo and hi are the pivot's Farey
-    parents.  Hitting p/q above the pivot level means it is too shallow:
-    the side is ELSEWHERE and there are no nodes.
-    """
-    state = next(_walk((k,), p, q))
-    if state is None:
-        return BracketSide.ELSEWHERE, None
-    a, b, c, d, below, above = state
-    pivot = (a + c, b + d)
-    lower = (a + pivot[0], b + pivot[1])
-    upper = (pivot[0] + c, pivot[1] + d)
-    nodes = ((a, b), lower, pivot, upper, (c, d))
-    # The same cross-products against the pivot and its children
-    to_pivot = below - above
-    if to_pivot == 0:
-        return BracketSide.AT_PIVOT, nodes
-    # to_child > 0 exactly when p/q lies strictly between the child and pivot
-    if to_pivot < 0:
-        side, to_child = BracketSide.LOWER_SUBINTERVAL, 2 * below - above
-    else:
-        side, to_child = BracketSide.UPPER_SUBINTERVAL, 2 * above - below
-    if to_child == 0:
-        side = BracketSide.AT_CHILD_LEVEL
-    elif to_child < 0:
-        side = BracketSide.ELSEWHERE
-    return side, nodes

@@ -214,10 +214,11 @@ def check_path_roundtrips(order: int, tally: Tally | None = None) -> Tally:
 def check_triple_equality(order: int, tally: Tally | None = None) -> Tally:
     """All three routes agree exactly over F_order.
 
-    The construction oracle and the continued-fraction form are compared as
-    whole maps (hence for every degree), and the interval form is compared
-    pointwise for every degree from 5 up to one past the boundary degree;
-    one descent per x serves all of those degrees.
+    All three give node counts over the same q.  The construction oracle
+    and the continued-fraction form are compared as whole maps (hence for
+    every degree), and the interval form is compared pointwise for every
+    degree from 5 up to one past the boundary degree; one descent per x
+    serves all of those degrees.
     """
     t = tally or Tally("triple-equality")
     for p, q in iter_farey_pairs(order):
@@ -227,17 +228,16 @@ def check_triple_equality(order: int, tally: Tally | None = None) -> Tally:
         by_graph = degree_distribution_oracle(x)
         by_cf = cf_form_distribution(x)
         t.check(
-            by_graph.entries == by_cf.entries,
+            by_graph.counts == by_cf.counts,
             lambda x=x, a=by_graph, b=by_cf: f"oracle {a.entries} != cf form {b.entries} at {x}",
         )
         ks = range(5, level_index(x) + 4)
         for k, count in zip(ks, _interval_form_counts(ks, p, q)):
-            by_interval = Fraction(count, q)
             t.check(
-                by_cf.probability(k) == by_interval,
-                lambda x=x, k=k, v=by_interval: (
+                by_cf.counts.get(k, 0) == count,
+                lambda x=x, k=k, count=count: (
                     f"P({k}, {x}): cf form {by_cf.probability(k)} != "
-                    f"interval form {v}"
+                    f"interval form {Fraction(count, q)}"
                 ),
             )
     return t
@@ -272,7 +272,7 @@ def check_descent_recurrences(
     def counts_of(x: Fraction) -> dict[int, int]:
         got = cache.get(x)
         if got is None:
-            got = identify_boundary(build(x)).as_dict()
+            got = identify_boundary(build(x))
             cache[x] = got
         return got
 

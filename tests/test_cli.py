@@ -91,13 +91,14 @@ class TestBuild:
     def test_cap_exits_3(self, capsys):
         code, _, err = run(capsys, "build", "10/23", "--max-q", "10")
         assert code == 3
-        assert "cap" in err
+        assert "exceeds the build cap 10 (raise it with --max-q)" in err
 
-    def test_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ORACLE_CAP_ENV, "10")
-        assert run(capsys, "build", "10/23")[0] == 3
-        monkeypatch.setenv(cli.ORACLE_CAP_ENV, "100")
+    def test_cap_is_set_by_max_q_alone(self, capsys, monkeypatch):
+        # the cap has one knob: the environment does not lower or raise it
+        monkeypatch.setenv("HAROS_MAX_Q", "-5")
         assert run(capsys, "build", "10/23")[0] == 0
+        assert run(capsys, "build", "10/23", "--max-q", "23")[0] == 0
+        assert run(capsys, "build", "10/23", "--max-q", "0")[0] == 2
 
 
 class TestDist:
@@ -123,21 +124,18 @@ class TestDist:
         assert "empty distribution" in out
 
     def test_strict_mismatch_exits_4(self, capsys, monkeypatch):
-        from fractions import Fraction
-
         monkeypatch.setattr(
             cli, "interval_form_distribution",
-            lambda x: cli.degree_distribution_oracle(x).__class__(
-                {2: Fraction(1, 2)}, 2
-            ),
+            lambda x: cli.DegreeDistribution({2: 2}, 3),
         )
         code, out, err = run(capsys, "dist", "1/3", "--method", "all", "--strict")
         assert code == 4
         assert "MISMATCH" in out
 
     def test_oracle_cap_exits_3(self, capsys):
-        code, _, _ = run(capsys, "dist", "10/23", "--method", "oracle", "--max-q", "5")
+        code, _, err = run(capsys, "dist", "10/23", "--method", "oracle", "--max-q", "5")
         assert code == 3
+        assert "exceeds the build cap 5 (raise it with --max-q)" in err
 
     def test_oracle_cap_is_checked_before_any_column(self, capsys, monkeypatch):
         def never(x):

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from harosgraph.distribution import (
+    DegreeDistribution,
     SweepPoint,
     _cf_form_counts,
     _interval_form_counts,
@@ -128,8 +129,17 @@ class TestDegreeDistribution:
         d = cf_form_distribution(Fraction(2, 5))
         with pytest.raises(TypeError):
             d.entries[2] = Fraction(1)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            d.denominator = 7
+        with pytest.raises(TypeError):
+            d.counts[2] = 1
+        for name, value in (("denominator", 7), ("counts", {}), ("entries", {})):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(d, name, value)
+        assert d.counts == {2: 2, 3: 1, 5: 1, 6: 1}
+        # the counts are a copy of the map passed in
+        source = {2: 1, 4: 1}
+        half = DegreeDistribution(source, 2)
+        source[2] = 5
+        assert half.counts == {2: 1, 4: 1}
         assert d.entries == {
             2: Fraction(2, 5),
             3: Fraction(1, 5),
@@ -335,7 +345,7 @@ class TestCfFormCounts:
     def test_is_the_oracle_multiset(self):
         for p, q in iter_farey_pairs(60):
             if 0 < p < q:
-                oracle = identify_boundary(build(Fraction(p, q))).as_dict()
+                oracle = identify_boundary(build(Fraction(p, q)))
                 assert _cf_form_counts(p, q) == oracle, (p, q)
 
     @pytest.mark.parametrize(
@@ -389,6 +399,18 @@ class TestIntervalFormValueReal:
         except AmbiguousBreakpointError:
             return
         assert abs(got - float(interval_form_value(k, x))) < 1e-12
+
+    def test_is_correctly_rounded(self):
+        # evaluating the linear piece in floats put this 64 ulps off
+        assert interval_form_value_real(12, 0.8684454578650953) == 0.025754469102807986
+
+    @given(st.integers(5, 14), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_is_the_rounded_exact_value(self, k, x):
+        try:
+            got = interval_form_value_real(k, x)
+        except AmbiguousBreakpointError:
+            return
+        assert got == float(interval_form_value(k, Fraction(min(x, 1 - x))))
 
 
 class TestSweep:

@@ -146,15 +146,14 @@ class TestBuild:
         g = build(x)
         assert g.node_count == q + 1
         assert g.edge_count == 2 * q - 1
-        counts = identify_boundary(g).as_dict()
-        assert counts == {k: p * q for k, p in cf_form_distribution(x).entries.items()}
+        assert identify_boundary(g) == cf_form_distribution(x).counts
 
 
 class TestIdentifyBoundary:
     def test_worked_multisets(self):
-        assert identify_boundary(build(Fraction(1, 2))).as_dict() == {2: 1, 4: 1}
-        assert identify_boundary(build(Fraction(1, 3))).as_dict() == {2: 1, 3: 1, 5: 1}
-        assert identify_boundary(build(Fraction(10, 23))).as_dict() == {
+        assert identify_boundary(build(Fraction(1, 2))) == {2: 1, 4: 1}
+        assert identify_boundary(build(Fraction(1, 3))) == {2: 1, 3: 1, 5: 1}
+        assert identify_boundary(build(Fraction(10, 23))) == {
             2: 10,
             3: 3,
             5: 7,
@@ -169,16 +168,15 @@ class TestIdentifyBoundary:
     @given(unit_fractions())
     def test_totals_and_degree_sum(self, x):
         q = x.denominator
-        ident = identify_boundary(build(x))
-        assert ident.total == q
-        assert sum(m for _, m in ident.counts) == q
-        assert sum(k * m for k, m in ident.counts) == 2 * (2 * q - 1)
+        counts = identify_boundary(build(x))
+        assert sum(counts.values()) == q
+        assert sum(k * m for k, m in counts.items()) == 2 * (2 * q - 1)
 
     @given(unit_fractions())
     def test_mirror_symmetry_of_counts(self, x):
         a = identify_boundary(build(x))
         b = identify_boundary(build(1 - x))
-        assert a.counts == b.counts
+        assert a == b
 
     def test_mirror_symmetry_exhaustive_f100(self):
         for p, q in iter_farey_pairs(100):
@@ -187,7 +185,7 @@ class TestIdentifyBoundary:
             x = Fraction(p, q)
             g, mirrored = build(x), build(1 - x)
             assert mirrored.degrees == tuple(reversed(g.degrees))
-            assert identify_boundary(g).counts == identify_boundary(mirrored).counts
+            assert identify_boundary(g) == identify_boundary(mirrored)
 
 
 class TestIdentifiedCountsWalk:
@@ -198,8 +196,9 @@ class TestIdentifiedCountsWalk:
         }
         assert set(walked) == expected_keys
         for p, q in sorted(expected_keys):
-            ident = identify_boundary(build(Fraction(p, q)))
-            assert walked[p, q] == ident.as_dict(), f"walker differs at {p}/{q}"
+            counts = identify_boundary(build(Fraction(p, q)))
+            assert walked[p, q] == counts, f"walker differs at {p}/{q}"
+            assert list(counts) == sorted(counts), f"degrees not ascending at {p}/{q}"
 
     def test_empty_below_two(self):
         assert list(iter_identified_counts(1)) == []

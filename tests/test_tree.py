@@ -12,8 +12,8 @@ from harosgraph.exact import cf_expand
 from harosgraph.tree import (
     BracketSide,
     MAX_TREE_LEVEL,
+    EnclosingBracket,
     SymbolicPath,
-    _descend,
     _walk,
     farey_parents,
     farey_sequence,
@@ -316,16 +316,24 @@ class TestLocateForDegree:
             locate_for_degree(5, Fraction(0))
 
     def assert_matches_stepwise(self, p, q):
-        last_k = level_index(Fraction(p, q)) + 4
+        x = Fraction(p, q)
+        last_k = level_index(x) + 4
         one_walk = _walk(range(5, last_k + 1), p, q)
-        for k, expected in enumerate(stepwise_brackets(p, q, last_k), start=5):
-            assert _descend(k, p, q) == expected, f"{p}/{q} at k = {k}"
-            # the walk shared by all degrees stops at the same Farey parents
-            state, nodes = next(one_walk), expected[1]
+        for k, (side, nodes) in enumerate(stepwise_brackets(p, q, last_k), start=5):
+            where = f"{p}/{q} at k = {k}"
+            got = locate_for_degree(k, x)
+            # the walk shared by all degrees stops at the same Farey parents,
+            # with the cross-product gaps of p/q to them
+            state = next(one_walk)
             if nodes is None:
-                assert state is None, f"{p}/{q} at k = {k}"
-            else:
-                assert state[:4] == nodes[0] + nodes[4], f"{p}/{q} at k = {k}"
+                assert got == EnclosingBracket(None, None, None, side), where
+                assert state is None, where
+                continue
+            (a, b), lower, pivot, upper, (c, d) = nodes
+            assert (got.side, got.lower, got.pivot, got.upper) == (
+                side, Fraction(*lower), Fraction(*pivot), Fraction(*upper)
+            ), where
+            assert state == (a, b, c, d, p * b - q * a, q * c - p * d), where
 
     def test_descent_matches_stepwise_walk_f150(self):
         for p, q in iter_farey_pairs(150):
