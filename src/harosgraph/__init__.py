@@ -10,8 +10,6 @@ cross-verifies the routes over Farey sequences.
 
 from .distribution import (
     DegreeDistribution,
-    SweepPoint,
-    base_probability,
     cf_form_distribution,
     degree_distribution_oracle,
     interval_form_distribution,
@@ -73,10 +71,8 @@ __all__ = [
     "HarosGraph",
     "NotRationalError",
     "ResourceLimitError",
-    "SweepPoint",
     "SymbolicPath",
     "TreeLevel",
-    "base_probability",
     "build",
     "cf_expand",
     "cf_form_distribution",

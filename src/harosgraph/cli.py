@@ -224,7 +224,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     tmp_path = out_path + ".partial"
     count = 0
     worst = Fraction(0)
-    x = x_float = None
     try:
         handle = open(tmp_path, "w", newline="")
     except OSError as exc:
@@ -236,26 +235,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 writer.writerow(SWEEP_FIELDS)
             else:
                 handle.write("[")
-            for point in sweep(args.k, args.order, row_cap=args.max_rows):
-                if x != (point.p, point.q):
-                    x = (point.p, point.q)
-                    x_float = point.p / point.q
-                    if args.format == "csv":
-                        x_float = f"{x_float:.17g}"
-                counts = (
-                    point.cf_form_count, point.interval_form_count, point.oracle_count
-                )
-                if max(counts) != min(counts):
-                    # the three counts share the denominator q
-                    worst = max(worst, Fraction(max(counts) - min(counts), point.q))
-                row = [point.p, point.q, x_float, point.k]
-                row += _reduced_cells(counts, point.q)
+            for p, q, rows in sweep(args.k, args.order, row_cap=args.max_rows):
+                x_float = p / q
                 if args.format == "csv":
-                    writer.writerow(row)
-                else:
-                    record = dict(zip(SWEEP_FIELDS, row))
-                    handle.write(("\n" if count == 0 else ",\n") + json.dumps(record))
-                count += 1
+                    x_float = f"{x_float:.17g}"
+                for k, *counts in rows:
+                    if max(counts) != min(counts):
+                        # the three counts share the denominator q
+                        worst = max(worst, Fraction(max(counts) - min(counts), q))
+                    row = [p, q, x_float, k] + _reduced_cells(counts, q)
+                    if args.format == "csv":
+                        writer.writerow(row)
+                    else:
+                        record = json.dumps(dict(zip(SWEEP_FIELDS, row)))
+                        handle.write(("\n" if count == 0 else ",\n") + record)
+                    count += 1
             if args.format == "json":
                 handle.write("\n]\n" if count else "]\n")
         os.replace(tmp_path, out_path)
@@ -274,7 +268,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _reduced_cells(counts: tuple[int, ...], q: int) -> list[int]:
+def _reduced_cells(counts: list[int], q: int) -> list[int]:
     """Numerator and denominator of each count / q, in lowest terms."""
     cells = []
     for numerator in counts:

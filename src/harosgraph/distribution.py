@@ -35,18 +35,16 @@ from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import AmbiguousBreakpointError, ResourceLimitError
-from .exact import _cf_terms, _degree, _unit_fraction, suffix_continuants
+from .exact import _cf_terms, _degree, _unit_fraction
 from .graphs import build, identify_boundary, iter_identified_counts
 from .tree import _walk
 
 __all__ = [
     "DEFAULT_ROW_CAP",
     "DegreeDistribution",
-    "SweepPoint",
-    "base_probability",
     "cf_form_distribution",
     "degree_distribution_oracle",
     "interval_form_distribution",
@@ -96,23 +94,6 @@ class DegreeDistribution:
         )
 
 
-def base_probability(k: int, x: Fraction) -> Fraction:
-    """The degree 2, 3, 4 probabilities: min(x, 1-x), |1 - 2x| and 0.
-
-    This is the plain low-degree formula; the lone exception P(4, 1/2) = 1/2
-    (the boundary node of the triangle graph) is owned by the distribution
-    assemblers, not by this helper.
-    """
-    if k not in (2, 3, 4):
-        raise ValueError(f"only degrees 2, 3 and 4 have a base form, got {k}")
-    x = _unit_fraction(x, open=False)
-    if k == 2:
-        return min(x, 1 - x)
-    if k == 3:
-        return abs(1 - 2 * x)
-    return Fraction(0)
-
-
 def degree_distribution_oracle(x: Fraction) -> DegreeDistribution:
     """Distribution by explicit construction: build, identify, over q."""
     x = _unit_fraction(x, open=False)
@@ -132,20 +113,25 @@ def _cf_form_counts(p: int, q: int) -> dict[int, int]:
     """Integer core of :func:`cf_form_distribution`: degree -> P(k, p/q)·q.
 
     For coprime 0 < p < q.  Every degree with a positive count is present.
+    One pass of Euclid's algorithm on (q, p) gives every count: with
+    r_0 = q, r_1 = p and a_l = r_{l-1} // r_l, the remainders are the suffix
+    continuants r_l = K(a_{l+1}, ..., a_m), so r_l - r_{l+1} nodes have
+    degree 3 + a_1 + ... + a_l (for l < m), and the boundary node has
+    degree a_1 + ... + a_m + 2.
     """
     if 2 * p > q:
         p = q - p
-    terms = _cf_terms(p, q)
     counts = {2: p}
     if q - 2 * p:
         counts[3] = q - 2 * p
-    tails = suffix_continuants(terms)
     degree = 3
-    for l in range(1, len(terms)):
-        degree += terms[l - 1]
-        counts[degree] = tails[l] - tails[l + 1]
-    counts[sum(terms) + 2] = 1
-    return counts
+    while True:
+        degree += q // p
+        q, p = p, q % p
+        if not p:
+            counts[degree - 1] = 1
+            return counts
+        counts[degree] = q - p
 
 
 def interval_form_value(k: int, x: Fraction) -> Fraction:
@@ -265,40 +251,6 @@ def interval_form_distribution(x: Fraction) -> DegreeDistribution:
     return DegreeDistribution(counts, q)
 
 
-class SweepPoint(NamedTuple):
-    """One sweep row: the three routes' P(k, x) for a single x = p/q and k.
-
-    Each route's value is held as its count over q, P(k, x)·q: the number
-    of nodes of degree k in the boundary-identified graph, as that route
-    finds it.  The properties give x and the three values as reduced
-    fractions.  A named tuple, not a frozen dataclass: a sweep makes one
-    per row, and a tuple is about three times cheaper to build.
-    """
-
-    p: int
-    q: int
-    k: int
-    cf_form_count: int
-    interval_form_count: int
-    oracle_count: int
-
-    @property
-    def x(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
-    @property
-    def cf_form(self) -> Fraction:
-        return Fraction(self.cf_form_count, self.q)
-
-    @property
-    def interval_form(self) -> Fraction:
-        return Fraction(self.interval_form_count, self.q)
-
-    @property
-    def oracle(self) -> Fraction:
-        return Fraction(self.oracle_count, self.q)
-
-
 DEFAULT_ROW_CAP = 5_000_000
 
 
@@ -337,16 +289,19 @@ def sweep(
     degrees: Sequence[int],
     order: int,
     row_cap: int | None = DEFAULT_ROW_CAP,
-) -> Iterator[SweepPoint]:
+) -> Iterator[tuple[int, int, list[tuple[int, int, int, int]]]]:
     """Evaluate all three routes over every x in F_order strictly inside (0, 1).
 
-    Yields one :class:`SweepPoint` per (x, k) pair, sorted by (x, k).  The
+    Yields one row group (p, q, rows) per x = p/q, ascending in x.  ``rows``
+    is a fresh list of (k, thm1_count, thm2_count, oracle_count), ascending
+    in k, one row per distinct degree; each count is P(k, x)·q.  The
     fractions and the oracle column come from the in-order tree walk of
     :func:`iter_identified_counts`, which performs the explicit graph
     construction once per fraction; for each x, the continued-fraction
     form is evaluated once and the interval form makes one descent for all
-    degrees.  The row cap is checked before any work, in time and memory
-    of about sqrt(row_cap); with no cap the rows are not counted.
+    degrees.  The row cap counts rows, not groups, and is checked before
+    any work, in time and memory of about sqrt(row_cap); with no cap the
+    rows are not counted.
     """
     ks = sorted({_degree(k) for k in degrees})
     if not ks:
@@ -363,7 +318,7 @@ def sweep(
     for p, q, from_walk in iter_identified_counts(order):
         from_cf = _cf_form_counts(p, q)
         from_tree = _interval_form_counts(ks, p, q)
-        for k, count in zip(ks, from_tree):
-            yield SweepPoint(
-                p, q, k, from_cf.get(k, 0), count, from_walk.get(k, 0)
-            )
+        yield p, q, [
+            (k, from_cf.get(k, 0), count, from_walk.get(k, 0))
+            for k, count in zip(ks, from_tree)
+        ]

@@ -111,11 +111,9 @@ def _cf_terms(p: int, q: int) -> tuple[int, ...]:
 
 
 def cf_value(cf: ContinuedFraction) -> Fraction:
-    """Rational value of a term list, the inverse of :func:`cf_expand`."""
-    value = Fraction(0)
-    for a in reversed(cf.terms):
-        value = 1 / (a + value)
-    return value
+    """Rational value of a term list, the inverse of :func:`cf_expand`:
+    K(terms[1:]) / K(terms)."""
+    return Fraction(continuant(cf.terms[1:]), continuant(cf.terms))
 
 
 def convergents(cf: ContinuedFraction) -> list[Fraction]:

@@ -169,19 +169,23 @@ def iter_identified_counts(
     """Walk every Haros graph with label denominator <= max_denominator.
 
     Yields (p, q, counts) for every p/q strictly inside (0, 1), ascending,
-    where counts equals what :func:`identify_boundary` returns for the
-    graph labelled p/q (the same degree -> count dict, in no particular
-    degree order).  The walk runs the same concatenation recursion as
-    :func:`build` but tracks degree multiplicities instead of full
-    sequences, so sweeping a whole Farey sequence costs O(1) dictionary
-    work per fraction instead of O(q).  It visits the Farey tree in order
-    (left subtree, node, right subtree), pruned where the denominator
-    passes max_denominator, which lists F_n sorted: every ancestor of a
-    fraction has a smaller denominator.
+    where counts is a fresh dict equal to what :func:`identify_boundary`
+    returns for the graph labelled p/q (the same degree -> count map, in no
+    particular degree order).  The walk runs the same concatenation
+    recursion as :func:`build` but keeps, for each graph, only its
+    boundary-identified counts and its two extreme degrees, so sweeping a
+    whole Farey sequence costs O(1) dictionary work per fraction instead of
+    O(q).  Concatenating graphs with extreme degrees (fl, ll) and (fr, lr)
+    merges their counts, drops their two boundary nodes, of degrees fl + ll
+    and fr + lr, and adds the merged middle node, ll + fr, and the new
+    boundary node, fl + lr + 2; each seed counts as {2: 1}.  The walk visits
+    the Farey tree in order (left subtree, node, right subtree), pruned
+    where the denominator passes max_denominator, which lists F_n sorted:
+    every ancestor of a fraction has a smaller denominator.
     """
     if max_denominator < 2:
         return
-    seed = {1: 2}
+    seed = {2: 1}
     # A graph is (p, q, counts, first_degree, last_degree); ``pending``
     # holds each node whose left subtree is being walked, with its right
     # neighbour.
@@ -195,11 +199,11 @@ def iter_identified_counts(
             counts = dict(cl)
             for degree, multiplicity in cr.items():
                 counts[degree] = counts.get(degree, 0) + multiplicity
-            for degree in (fl, ll, fr, lr):
+            for degree in (fl + ll, fr + lr):
                 counts[degree] -= 1
                 if not counts[degree]:
                     del counts[degree]
-            for degree in (fl + 1, ll + fr, lr + 1):
+            for degree in (ll + fr, fl + lr + 2):
                 counts[degree] = counts.get(degree, 0) + 1
             node = (pl + pr, q, counts, fl + 1, lr + 1)
             pending.append((node, right))
@@ -208,12 +212,4 @@ def iter_identified_counts(
         if not pending:
             return
         left, right = pending.pop()
-        p, q, counts, first, last = left
-        identified = dict(counts)
-        for degree in (first, last):
-            identified[degree] -= 1
-            if not identified[degree]:
-                del identified[degree]
-        boundary = first + last
-        identified[boundary] = identified.get(boundary, 0) + 1
-        yield p, q, identified
+        yield left[0], left[1], dict(left[2])

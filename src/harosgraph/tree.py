@@ -51,6 +51,7 @@ class SymbolicPath:
 
     Runs alternate strictly between L and R.  For a fraction with canonical
     terms [a_1, ..., a_m] the run lengths are a_1, ..., a_{m-1}, a_m - 1.
+    ``steps`` is the word's length, an int of any size.
     """
 
     runs: tuple[tuple[str, int], ...]
@@ -59,7 +60,8 @@ class SymbolicPath:
     def word(self) -> str:
         return "".join(symbol * count for symbol, count in self.runs)
 
-    def __len__(self) -> int:
+    @property
+    def steps(self) -> int:
         return sum(count for _, count in self.runs)
 
 

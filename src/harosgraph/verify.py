@@ -205,7 +205,7 @@ def check_path_roundtrips(order: int, tally: Tally | None = None) -> Tally:
             lambda x=x, path=path: f"replaying {path.word} missed {x}",
         )
         t.check(
-            level_index(x) == len(path) + 1,
+            level_index(x) == path.steps + 1,
             lambda x=x: f"level of {x} is not path length + 1",
         )
     return t

@@ -6,6 +6,7 @@ timings as they happen.
 """
 
 import csv
+import hashlib
 import json
 import time
 from contextlib import contextmanager
@@ -23,6 +24,9 @@ from harosgraph.verify import (
     random_term_lists,
     term_grid,
 )
+
+# The reference bytes of `haros sweep --k 5,6,7,8 --order 1000`
+SWEEP_F1000_SHA256 = "fd4ec61916c468304d33b3413b738854205a6c1f3aff54ad129206f66ad13c76"
 
 
 @contextmanager
@@ -164,6 +168,7 @@ def test_criterion_9_sweep_dataset(capsys, tmp_path):
                 prev_num, prev_den, prev_k = num, den, k
         expected_rows = 4 * (sum_totients(1000) - 1)
         assert rows == expected_rows
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == SWEEP_F1000_SHA256
     out = capsys.readouterr()
     print(out.out, end="")
 

@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 
 from harosgraph.distribution import (
     DegreeDistribution,
-    SweepPoint,
     _cf_form_counts,
     _interval_form_counts,
-    base_probability,
     cf_form_distribution,
     degree_distribution_oracle,
     interval_form_distribution,
@@ -50,18 +48,16 @@ def unit_fractions(max_den=200):
 
 
 class TestBaseProbability:
+    """The low-degree values min(x, 1 - x), |1 - 2x| and 0 at degrees 2, 3, 4."""
+
     def test_worked_values(self):
-        assert base_probability(2, Fraction(10, 23)) == Fraction(10, 23)
-        assert base_probability(3, Fraction(10, 23)) == Fraction(3, 23)
-        assert base_probability(4, Fraction(1, 4)) == 0
+        assert cf_form_distribution(Fraction(10, 23)).probability(2) == Fraction(10, 23)
+        assert cf_form_distribution(Fraction(10, 23)).probability(3) == Fraction(3, 23)
+        assert cf_form_distribution(Fraction(1, 4)).probability(4) == 0
 
     def test_mirrored_branch(self):
-        assert base_probability(2, Fraction(5, 7)) == Fraction(2, 7)
-        assert base_probability(3, Fraction(5, 7)) == Fraction(3, 7)
-
-    def test_rejects_other_degrees(self):
-        with pytest.raises(ValueError):
-            base_probability(5, Fraction(1, 2))
+        assert cf_form_distribution(Fraction(5, 7)).probability(2) == Fraction(2, 7)
+        assert cf_form_distribution(Fraction(5, 7)).probability(3) == Fraction(3, 7)
 
 
 class TestCfFormDistribution:
@@ -157,7 +153,6 @@ UNIT_INPUT_ENTRY_POINTS = {
     "locate_for_degree": partial(locate_for_degree, 5),
     "build": build,
     "initial_graph": initial_graph,
-    "base_probability": partial(base_probability, 2),
     "degree_distribution_oracle": degree_distribution_oracle,
     "cf_form_distribution": cf_form_distribution,
     "interval_form_value": partial(interval_form_value, 5),
@@ -413,34 +408,52 @@ class TestIntervalFormValueReal:
         assert got == float(interval_form_value(k, Fraction(min(x, 1 - x))))
 
 
+def sweep_rows(degrees, order, **kwargs):
+    """The sweep's row groups flattened to (p, q, k, thm1, thm2, oracle) rows."""
+    return [
+        (p, q, *row) for p, q, rows in sweep(degrees, order, **kwargs) for row in rows
+    ]
+
+
 class TestSweep:
     def test_order_three(self):
-        rows = list(sweep([5], 3))
-        assert [(r.x, r.interval_form) for r in rows] == [
-            (Fraction(1, 3), Fraction(1, 3)),
-            (Fraction(1, 2), Fraction(0)),
-            (Fraction(2, 3), Fraction(1, 3)),
+        assert list(sweep([5], 3)) == [
+            (1, 3, [(5, 1, 1, 1)]),
+            (1, 2, [(5, 0, 0, 0)]),
+            (2, 3, [(5, 1, 1, 1)]),
         ]
 
     def test_order_one_is_empty(self):
         assert list(sweep([5], 1)) == []
 
     def test_rows_sorted_and_consistent(self):
-        rows = list(sweep([5, 6, 7, 8], 50))
-        assert rows == sorted(rows, key=lambda r: (r.x, r.k))
+        rows = sweep_rows([5, 6, 7, 8], 50)
+        assert rows == sorted(rows, key=lambda r: (Fraction(r[0], r[1]), r[2]))
         assert len(rows) == sweep_row_count([5, 6, 7, 8], 50)
         for r in rows:
-            assert r.cf_form == r.interval_form == r.oracle
+            assert r[3] == r[4] == r[5]
+
+    def test_one_group_per_x(self):
+        groups = list(sweep([8, 5, 6, 5], 30))
+        assert [(p, q) for p, q, _ in groups] == [
+            (p, q) for p, q in iter_farey_pairs(30) if p not in (0, q)
+        ]
+        for _, _, rows in groups:
+            assert [row[0] for row in rows] == [5, 6, 8]
+        assert len({id(rows) for _, _, rows in groups}) == len(groups)
 
     def test_row_cap(self):
         with pytest.raises(ResourceLimitError):
             list(sweep([5], 100, row_cap=10))
 
     def test_row_cap_is_inclusive(self):
-        # F_10 has 31 interior fractions
-        assert len(list(sweep([5], 10, row_cap=31))) == 31
+        # F_10 has 31 interior fractions; the cap counts rows, not groups
+        assert len(sweep_rows([5], 10, row_cap=31)) == 31
         with pytest.raises(ResourceLimitError, match="the cap is 30"):
             list(sweep([5], 10, row_cap=30))
+        assert len(sweep_rows([5, 6], 10, row_cap=62)) == 62
+        with pytest.raises(ResourceLimitError, match="the cap is 61"):
+            list(sweep([5, 6], 10, row_cap=61))
 
     def test_no_cap_skips_the_count(self, monkeypatch):
         import harosgraph.distribution
@@ -449,7 +462,7 @@ class TestSweep:
             raise AssertionError("rows counted without a cap")
 
         monkeypatch.setattr(harosgraph.distribution, "sweep_row_count", refuse)
-        assert len(list(sweep([5, 6], 10, row_cap=None))) == 62
+        assert len(sweep_rows([5, 6], 10, row_cap=None)) == 62
 
     def test_row_cap_holds_before_the_sieve(self):
         # an order of 10**9 would need gigabytes to count in full
@@ -463,10 +476,11 @@ class TestSweep:
         assert peak < 4 * 2**20
 
     def test_rows_are_integer_counts_over_q(self):
-        for r in sweep([5, 6, 7, 8], 30):
-            assert (r.x.numerator, r.x.denominator) == (r.p, r.q)
-            assert r.oracle == Fraction(r.oracle_count, r.q)
-            assert r.cf_form_count == r.interval_form_count == r.oracle_count
+        for p, q, rows in sweep([5, 6, 7, 8], 30):
+            oracle = degree_distribution_oracle(Fraction(p, q))
+            for k, cf_form_count, interval_form_count, oracle_count in rows:
+                assert oracle_count == oracle.counts.get(k, 0)
+                assert cf_form_count == interval_form_count == oracle_count
 
     def test_rejects_low_degrees(self):
         with pytest.raises(ValueError):
@@ -501,19 +515,3 @@ class TestSweep:
         monkeypatch.setattr(harosgraph.distribution, "_interior_count", interior_count)
         assert sweep_row_count([], 10**9, cap=5) == 0
         assert limits == []
-
-
-class TestSweepPoint:
-    def test_properties_are_reduced_fractions(self):
-        point = SweepPoint(3, 10, 5, 4, 5, 0)
-        assert point.x == Fraction(3, 10)
-        assert (point.cf_form.numerator, point.cf_form.denominator) == (2, 5)
-        assert (point.interval_form.numerator, point.interval_form.denominator) == (1, 2)
-        assert (point.oracle.numerator, point.oracle.denominator) == (0, 1)
-        for value in (point.x, point.cf_form, point.interval_form, point.oracle):
-            assert type(value) is Fraction
-
-    def test_is_immutable(self):
-        point = SweepPoint(1, 3, 5, 1, 1, 1)
-        with pytest.raises(AttributeError):
-            point.k = 6

@@ -200,6 +200,13 @@ class TestIdentifiedCountsWalk:
             assert walked[p, q] == counts, f"walker differs at {p}/{q}"
             assert list(counts) == sorted(counts), f"degrees not ascending at {p}/{q}"
 
+    def test_yields_fresh_dicts(self):
+        # each node's counts feed its children, so a caller editing a
+        # yielded dict must not change the fractions that follow
+        for p, q, counts in iter_identified_counts(30):
+            assert counts == identify_boundary(build(Fraction(p, q)))
+            counts.clear()
+
     def test_empty_below_two(self):
         assert list(iter_identified_counts(1)) == []
 

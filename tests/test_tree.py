@@ -229,7 +229,13 @@ class TestSymbolicPath:
 
     @given(unit_fractions())
     def test_length_is_level_minus_one(self, x):
-        assert len(symbolic_path(x)) == level_index(x) - 1
+        assert symbolic_path(x).steps == level_index(x) - 1
+
+    def test_steps_of_a_bigint_run(self):
+        # len() has to fit in a C ssize_t, so it overflowed on these paths
+        x = Fraction(1, 10**200 + 7)
+        for y in (x, 1 - x):
+            assert symbolic_path(y).steps == level_index(y) - 1 == 10**200 + 6
 
     def test_roundtrips_exhaustive_f200(self):
         from harosgraph.verify import check_path_roundtrips

@@ -1,5 +1,7 @@
 """The bulk verification suites on small orders, plus tally plumbing."""
 
+import re
+
 import pytest
 
 from harosgraph.errors import ResourceLimitError
@@ -35,11 +37,16 @@ class TestSuites:
         assert t.failed == 0
         assert t.passed > 0
 
-    def test_continuant_identities_catch_corruption(self):
-        # a deliberately broken "continuant" would fail; here we feed the
-        # checker a case-free iterable to show it stays neutral
-        t = check_continuant_identities([])
-        assert (t.passed, t.failed) == (0, 0)
+    def test_continuant_identities_catch_corruption(self, monkeypatch):
+        import harosgraph.verify
+
+        real = harosgraph.verify.continuant
+        monkeypatch.setattr(
+            harosgraph.verify, "continuant", lambda xs: real(xs) + 1
+        )
+        t = check_continuant_identities(term_grid(range(2, 5), 3))
+        assert t.failed > 0
+        assert re.search(r"on \[\d+(, \d+)+\]", t.first_failure)
 
     def test_random_term_lists_are_reproducible(self):
         assert list(random_term_lists(50)) == list(random_term_lists(50))
