@@ -116,8 +116,9 @@ def _cf_form_counts(p: int, q: int) -> dict[int, int]:
     One pass of Euclid's algorithm on (q, p) gives every count: with
     r_0 = q, r_1 = p and a_l = r_{l-1} // r_l, the remainders are the suffix
     continuants r_l = K(a_{l+1}, ..., a_m), so r_l - r_{l+1} nodes have
-    degree 3 + a_1 + ... + a_l (for l < m), and the boundary node has
-    degree a_1 + ... + a_m + 2.
+    degree 3 + a_1 + ... + a_l (for 0 < l < m), and the boundary node has
+    degree a_1 + ... + a_m + 2.  With p = min(p, q - p) the r_0 - r_1 nodes
+    of level 0 are p of degree 2 and q - 2p of degree 3.
     """
     if 2 * p > q:
         p = q - p

@@ -27,7 +27,7 @@ from harosgraph.errors import (
     NotRationalError,
     ResourceLimitError,
 )
-from harosgraph.exact import cf_expand
+from harosgraph.exact import cf_expand, suffix_continuants
 from harosgraph.graphs import build, identify_boundary, initial_graph
 from harosgraph.tree import (
     BracketSide,
@@ -48,7 +48,8 @@ def unit_fractions(max_den=200):
 
 
 class TestBaseProbability:
-    """The low-degree values min(x, 1 - x), |1 - 2x| and 0 at degrees 2, 3, 4."""
+    """The low-degree values min(x, 1 - x), |1 - 2x| and 0 at degrees 2, 3, 4
+    (0 save for P(4, 1/2) = 1/2)."""
 
     def test_worked_values(self):
         assert cf_form_distribution(Fraction(10, 23)).probability(2) == Fraction(10, 23)
@@ -58,6 +59,16 @@ class TestBaseProbability:
     def test_mirrored_branch(self):
         assert cf_form_distribution(Fraction(5, 7)).probability(2) == Fraction(2, 7)
         assert cf_form_distribution(Fraction(5, 7)).probability(3) == Fraction(3, 7)
+
+    def test_every_x_of_f60(self):
+        for p, q in iter_farey_pairs(60):
+            if 0 < p < q:
+                x = Fraction(p, q)
+                dist = cf_form_distribution(x)
+                assert dist.probability(2) == min(x, 1 - x), x
+                assert dist.probability(3) == abs(1 - 2 * x), x
+                # the one exception: the triangle's boundary node, P(4, 1/2) = 1/2
+                assert dist.probability(4) == (x if x == Fraction(1, 2) else 0), x
 
 
 class TestCfFormDistribution:
@@ -330,6 +341,22 @@ class TestIntervalFormCounts:
 
 
 class TestCfFormCounts:
+    def test_reads_the_suffix_continuants(self):
+        # Theorem 1 from the term list of min(x, 1 - x) = p/q: p nodes of
+        # degree 2, q - 2p of degree 3, K(a_{l+1}, ..., a_m) - K(a_{l+2}, ..., a_m)
+        # of degree 3 + a_1 + ... + a_l for 0 < l < m, one of degree a_1 + ... + a_m + 2
+        for p, q in iter_farey_pairs(80):
+            if 0 < p < q:
+                low = min(p, q - p)
+                terms = cf_expand(Fraction(low, q)).terms
+                tails = suffix_continuants(terms)
+                expected = {2: low, 3: q - 2 * low}
+                for level in range(1, len(terms)):
+                    expected[3 + sum(terms[:level])] = tails[level] - tails[level + 1]
+                expected[sum(terms) + 2] = 1
+                expected = {k: m for k, m in expected.items() if m}
+                assert _cf_form_counts(p, q) == expected, (p, q)
+
     def test_is_the_distribution_times_q(self):
         for p, q in iter_farey_pairs(100):
             if 0 < p < q:
@@ -408,6 +435,17 @@ class TestIntervalFormValueReal:
         assert got == float(interval_form_value(k, Fraction(min(x, 1 - x))))
 
 
+def test_removed_sweep_forms_stay_out_of_the_package():
+    import harosgraph
+    import harosgraph.distribution
+
+    for name in ("SweepPoint", "base_probability"):
+        assert name not in harosgraph.__all__
+        assert name not in harosgraph.distribution.__all__
+        assert not hasattr(harosgraph, name)
+        assert not hasattr(harosgraph.distribution, name)
+
+
 def sweep_rows(degrees, order, **kwargs):
     """The sweep's row groups flattened to (p, q, k, thm1, thm2, oracle) rows."""
     return [
@@ -474,6 +512,13 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_groups_are_reduced_int_pairs_and_int_counts(self):
+        for p, q, rows in sweep([5, 6, 7, 8], 30):
+            assert type(p) is int and type(q) is int
+            assert Fraction(p, q).denominator == q
+            for row in rows:
+                assert [type(value) for value in row] == [int] * 4
 
     def test_rows_are_integer_counts_over_q(self):
         for p, q, rows in sweep([5, 6, 7, 8], 30):

@@ -1,6 +1,7 @@
 """Continued fractions, convergents and continuant identities."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -97,6 +98,23 @@ class TestCfValue:
         assert cf_value(ContinuedFraction((2, 3, 3))) == Fraction(10, 23)
         assert cf_value(ContinuedFraction((1,))) == Fraction(1)
         assert cf_value(ContinuedFraction((2,))) == Fraction(1, 2)
+
+    def test_matches_the_division_loop(self):
+        # the value read from the last term up: 1/(a_1 + 1/(a_2 + ...))
+        for m in range(1, 6):
+            for terms in product(range(1, 6), repeat=m):
+                if m > 1 and terms[-1] == 1:
+                    continue
+                value = Fraction(0)
+                for a in reversed(terms):
+                    value = 1 / (a + value)
+                assert cf_value(ContinuedFraction(terms)) == value, terms
+
+    def test_bigint_terms(self):
+        n = 10**200 + 7
+        assert cf_value(ContinuedFraction((n,))) == Fraction(1, n)
+        assert cf_value(ContinuedFraction((1, n))) == Fraction(n, n + 1)
+        assert cf_value(ContinuedFraction((2, n, 3))) == 1 / (2 + 1 / (n + Fraction(1, 3)))
 
 
 class TestConvergents:

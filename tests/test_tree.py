@@ -237,6 +237,11 @@ class TestSymbolicPath:
         for y in (x, 1 - x):
             assert symbolic_path(y).steps == level_index(y) - 1 == 10**200 + 6
 
+    def test_has_no_len(self):
+        # a path's step count can exceed any C ssize_t; it is read from .steps
+        with pytest.raises(TypeError):
+            len(symbolic_path(Fraction(2, 7)))
+
     def test_roundtrips_exhaustive_f200(self):
         from harosgraph.verify import check_path_roundtrips
 
