@@ -47,7 +47,6 @@ from .tree import (
     SymbolicPath,
     TreeLevel,
     farey_parents,
-    farey_sequence,
     iter_farey_pairs,
     level_index,
     locate_for_degree,
@@ -82,7 +81,6 @@ __all__ = [
     "convergents",
     "degree_distribution_oracle",
     "farey_parents",
-    "farey_sequence",
     "identify_boundary",
     "initial_graph",
     "interval_form_distribution",

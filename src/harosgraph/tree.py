@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import AdjacencyError, ResourceLimitError
-from .exact import _degree, _unit_fraction, cf_expand, convergents
+from .exact import _cf_terms, _degree, _unit_fraction
 
 __all__ = [
     "LEFT",
@@ -25,7 +25,6 @@ __all__ = [
     "SymbolicPath",
     "TreeLevel",
     "farey_parents",
-    "farey_sequence",
     "iter_farey_pairs",
     "level_index",
     "locate_for_degree",
@@ -127,11 +126,6 @@ def iter_farey_pairs(n: int):
         a, b, c, d = c, d, k * c - a, k * d - b
 
 
-def farey_sequence(n: int) -> list[Fraction]:
-    """All reduced fractions in [0, 1] with denominator <= n, ascending."""
-    return [Fraction(p, q) for p, q in iter_farey_pairs(n)]
-
-
 def tree_level(k: int) -> TreeLevel:
     """The fractions of tree level k: {0/1, 1/1}, {1/2}, {1/3, 2/3}, ..."""
     if k < 1:
@@ -167,7 +161,7 @@ def level_index(x: Fraction) -> int:
     x = _unit_fraction(x, open=False)
     if x == 0 or x == 1:
         return 1
-    return sum(cf_expand(x).terms)
+    return sum(_cf_terms(x.numerator, x.denominator))
 
 
 def symbolic_path(x: Fraction) -> SymbolicPath:
@@ -178,7 +172,8 @@ def symbolic_path(x: Fraction) -> SymbolicPath:
     navigation lands exactly on x.  The endpoints live at level 1 and have
     no descent word.
     """
-    counts = list(cf_expand(_unit_fraction(x, open=True)).terms)
+    x = _unit_fraction(x, open=True)
+    counts = list(_cf_terms(x.numerator, x.denominator))
     counts[-1] -= 1
     runs = []
     symbol = LEFT
@@ -217,28 +212,31 @@ def replay_path(path: SymbolicPath) -> Fraction:
 def farey_parents(x: Fraction) -> tuple[Fraction, Fraction]:
     """The two Farey neighbours whose mediant is x, ordered (lower, upper).
 
-    These are the previous convergent of x and the complementary
-    semiconvergent (p - p_{m-1})/(q - q_{m-1}); both sit at shallower tree
-    levels than x.
+    For x = p/q the lower parent a/b is the neighbour with p·b - q·a = 1,
+    so b is the inverse of p modulo q; the upper parent is
+    (p - a)/(q - b).  Both sit at shallower tree levels than x.
     """
     x = _unit_fraction(x, open=True)
-    conv = convergents(cf_expand(x))
-    prev = conv[-2] if len(conv) >= 2 else Fraction(0)
-    other = Fraction(
-        x.numerator - prev.numerator, x.denominator - prev.denominator
-    )
-    return (prev, other) if prev < other else (other, prev)
+    p, q = x.numerator, x.denominator
+    b = pow(p, -1, q)
+    a = (p * b - 1) // q
+    return Fraction(a, b), Fraction(p - a, q - b)
 
 
 def tree_children(x: Fraction) -> tuple[Fraction, Fraction]:
     """The two next-level mediant children of x, in numeric order.
 
-    In continued-fraction terms the pair is {[a_1..a_m + 1],
-    [a_1..a_m - 1, 2]}; which of the two is the smaller child depends on the
-    parity of m, so numeric order is computed from the parent bracket.
+    They are the mediants of x with its lower and its upper Farey parent,
+    formed from the integer pairs directly.  In continued-fraction terms
+    the pair is {[a_1..a_m + 1], [a_1..a_m - 1, 2]}; which of the two is
+    the smaller child depends on the parity of m.
     """
     lo, hi = farey_parents(x)
-    return mediant(lo, x), mediant(x, hi)
+    p, q = x.numerator, x.denominator
+    return (
+        Fraction(lo.numerator + p, lo.denominator + q),
+        Fraction(p + hi.numerator, q + hi.denominator),
+    )
 
 
 def locate_for_degree(k: int, x: Fraction) -> EnclosingBracket:

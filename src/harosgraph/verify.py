@@ -16,19 +16,9 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .distribution import (
-    _interval_form_counts,
-    cf_form_distribution,
-    degree_distribution_oracle,
-)
+from .distribution import _cf_form_counts, _interval_form_counts, cf_form_distribution
 from .errors import ResourceLimitError
-from .exact import (
-    ContinuedFraction,
-    cf_expand,
-    cf_value,
-    continuant,
-    suffix_continuants,
-)
+from .exact import ContinuedFraction, _cf_terms, cf_value, continuant, suffix_continuants
 from .graphs import build, identify_boundary
 from .tree import (
     LEFT,
@@ -122,19 +112,16 @@ def term_grid(lengths: Iterable[int], max_term: int) -> Iterator[tuple[int, ...]
         yield from itertools.product(range(1, max_term + 1), repeat=n)
 
 
-def random_term_lists(
-    count: int, max_len: int = 10, max_term: int = 30, seed: int = RANDOM_GRID_SEED
-) -> Iterator[tuple[int, ...]]:
-    """Deterministic pseudo-random term lists (fixed seed, identical runs)."""
-    rng = random.Random(seed)
+def random_term_lists(count: int) -> Iterator[tuple[int, ...]]:
+    """``count`` pseudo-random term lists of length 2..10 with terms in
+    1..30, drawn from :data:`RANDOM_GRID_SEED`, so runs are identical."""
+    rng = random.Random(RANDOM_GRID_SEED)
     for _ in range(count):
-        n = rng.randint(2, max_len)
-        yield tuple(rng.randint(1, max_term) for _ in range(n))
+        n = rng.randint(2, 10)
+        yield tuple(rng.randint(1, 30) for _ in range(n))
 
 
-def check_continuant_identities(
-    term_lists: Iterable[Sequence[int]], tally: Tally | None = None
-) -> Tally:
+def check_continuant_identities(term_lists: Iterable[Sequence[int]]) -> Tally:
     """Splitting and determinant identities of continuants, exactly.
 
     For every list: K_n = K(prefix) K(suffix) + K(shorter prefix) K(shifted
@@ -142,7 +129,7 @@ def check_continuant_identities(
     K_n(x_1..x_n) K_{n-2}(x_2..x_{n-1}) - K_{n-1}(x_1..x_{n-1}) K_{n-1}(x_2..x_n)
     equals (-1)^n.
     """
-    t = tally or Tally("continuant-identities")
+    t = Tally("continuant-identities")
     for xs in term_lists:
         n = len(xs)
         if n < 2:
@@ -164,14 +151,14 @@ def check_continuant_identities(
     return t
 
 
-def check_cf_continuant_link(order: int, tally: Tally | None = None) -> Tally:
+def check_cf_continuant_link(order: int) -> Tally:
     """Continuants of the terms give back the fraction: K(terms) = q and
     K(terms[1:]) = p for every p/q in F_order."""
-    t = tally or Tally("cf-continuant-link")
+    t = Tally("cf-continuant-link")
     for p, q in iter_farey_pairs(order):
         if p == 0:
             continue
-        terms = cf_expand(Fraction(p, q)).terms
+        terms = _cf_terms(p, q)
         t.check(
             continuant(terms) == q and continuant(terms[1:]) == p,
             lambda p=p, q=q, terms=terms: f"{p}/{q} vs terms {list(terms)}",
@@ -179,17 +166,16 @@ def check_cf_continuant_link(order: int, tally: Tally | None = None) -> Tally:
     return t
 
 
-def check_path_roundtrips(order: int, tally: Tally | None = None) -> Tally:
+def check_path_roundtrips(order: int) -> Tally:
     """Descent words over F_order: run lengths match the terms with the last
     reduced by one, replay lands back on x, and the level is the term sum."""
-    t = tally or Tally("path-roundtrips")
+    t = Tally("path-roundtrips")
     for p, q in iter_farey_pairs(order):
         if p == 0 or p == q:
             continue
         x = Fraction(p, q)
-        terms = cf_expand(x).terms
         path = symbolic_path(x)
-        expected = list(terms)
+        expected = list(_cf_terms(p, q))
         expected[-1] -= 1
         got = [count for _, count in path.runs]
         symbols_ok = all(
@@ -211,33 +197,33 @@ def check_path_roundtrips(order: int, tally: Tally | None = None) -> Tally:
     return t
 
 
-def check_triple_equality(order: int, tally: Tally | None = None) -> Tally:
+def check_triple_equality(order: int) -> Tally:
     """All three routes agree exactly over F_order.
 
-    All three give node counts over the same q.  The construction oracle
-    and the continued-fraction form are compared as whole maps (hence for
-    every degree), and the interval form is compared pointwise for every
-    degree from 5 up to one past the boundary degree; one descent per x
-    serves all of those degrees.
+    All three give node counts over the same q, read from the integer
+    cores on (p, q); the oracle builds every graph explicitly.  The oracle
+    and the continued-fraction form are compared as whole count maps
+    (hence for every degree), and the interval form is compared pointwise
+    for every degree from 5 up to one past the boundary degree, that is
+    to the term sum plus 3; one descent per x serves all of those degrees.
     """
-    t = tally or Tally("triple-equality")
+    t = Tally("triple-equality")
     for p, q in iter_farey_pairs(order):
         if p == 0 or p == q:
             continue
         x = Fraction(p, q)
-        by_graph = degree_distribution_oracle(x)
-        by_cf = cf_form_distribution(x)
+        by_graph = identify_boundary(build(x))
+        by_cf = _cf_form_counts(p, q)
         t.check(
-            by_graph.counts == by_cf.counts,
-            lambda x=x, a=by_graph, b=by_cf: f"oracle {a.entries} != cf form {b.entries} at {x}",
+            by_graph == by_cf,
+            lambda x=x, a=by_graph, b=by_cf: f"counts at {x}: oracle {a} != cf form {b}",
         )
-        ks = range(5, level_index(x) + 4)
+        ks = range(5, sum(_cf_terms(p, q)) + 4)
         for k, count in zip(ks, _interval_form_counts(ks, p, q)):
             t.check(
-                by_cf.counts.get(k, 0) == count,
-                lambda x=x, k=k, count=count: (
-                    f"P({k}, {x}): cf form {by_cf.probability(k)} != "
-                    f"interval form {Fraction(count, q)}"
+                by_cf.get(k, 0) == count,
+                lambda x=x, k=k, cf=by_cf.get(k, 0), count=count: (
+                    f"P({k}, {x})·q: cf form {cf} != interval form {count}"
                 ),
             )
     return t
@@ -251,9 +237,7 @@ def _decremented_tail(terms: Sequence[int], l: int) -> tuple[int, ...]:
     return (terms[l] - 1,) + tuple(terms[l + 1 :])
 
 
-def check_descent_recurrences(
-    min_level: int, max_level: int, tally: Tally | None = None
-) -> Tally:
+def check_descent_recurrences(min_level: int, max_level: int) -> Tally:
     """Descent recurrences for the emergent-degree counts, on actual graphs.
 
     For every node at the given tree levels and every emergent degree k_l of
@@ -266,7 +250,7 @@ def check_descent_recurrences(
     decremented truncation lists.  Nodes above 1/2 are checked through
     their mirror, whose children are the mirrored children.
     """
-    t = tally or Tally("descent-recurrences")
+    t = Tally("descent-recurrences")
     cache: dict[Fraction, dict[int, int]] = {}
 
     def counts_of(x: Fraction) -> dict[int, int]:
@@ -279,7 +263,7 @@ def check_descent_recurrences(
     for levels in range(min_level, max_level + 1):
         for x in tree_level(levels).fractions:
             y = x if 2 * x <= 1 else 1 - x
-            terms = cf_expand(y).terms
+            terms = _cf_terms(y.numerator, y.denominator)
             m = len(terms)
             if m < 2:
                 continue
@@ -319,20 +303,19 @@ def check_descent_recurrences(
     return t
 
 
-def check_piecewise_linearity(
-    order: int, ks: Sequence[int] = (5, 6, 7, 8), tally: Tally | None = None
-) -> Tally:
-    """Piecewise-linear shape of P(k, .) over F_order, exactly.
+def check_piecewise_linearity(order: int) -> Tally:
+    """Piecewise-linear shape of P(k, .) over F_order for k = 5..8, exactly.
 
     Within each open subinterval between a pivot (level k-3) and one of its
     children (level k-2), all sampled values are collinear; the lines of the
     two sides meet at the pivot at height 1/q_pivot and vanish at the child
     endpoints; the sampled fractions sitting exactly on those breakpoints
-    take the removable values 0 and 1/q instead.
+    take the removable values 0 and 1/q instead.  Each P(k, x) is read
+    from the continued-fraction core once: the subintervals of one degree
+    are disjoint and hold no breakpoint.
     """
-    t = tally or Tally("piecewise-linearity")
+    t = Tally("piecewise-linearity")
     grid = [Fraction(p, q) for p, q in iter_farey_pairs(order)]
-    values: dict[int, dict[Fraction, Fraction]] = {k: {} for k in ks}
 
     def samples(lo: Fraction, hi: Fraction) -> list[Fraction]:
         i = bisect.bisect_right(grid, lo)
@@ -340,13 +323,10 @@ def check_piecewise_linearity(
         return grid[i:j]
 
     def prob(k: int, x: Fraction) -> Fraction:
-        cached = values[k].get(x)
-        if cached is None:
-            cached = cf_form_distribution(x).probability(k)
-            values[k][x] = cached
-        return cached
+        p, q = x.numerator, x.denominator
+        return Fraction(_cf_form_counts(p, q).get(k, 0), q)
 
-    for k in ks:
+    for k in (5, 6, 7, 8):
         for pivot in tree_level(k - 3).fractions:
             lower, upper = tree_children(pivot)
             peak = Fraction(1, pivot.denominator)
@@ -392,10 +372,10 @@ def check_piecewise_linearity(
     return t
 
 
-def check_base_cases(order: int, tally: Tally | None = None) -> Tally:
+def check_base_cases(order: int) -> Tally:
     """Low-degree probabilities over F_order: P(2) = min(x, 1-x),
     P(3) = |1 - 2x|, P(4) = 0 except P(4, 1/2) = 1/2."""
-    t = tally or Tally("base-cases")
+    t = Tally("base-cases")
     half = Fraction(1, 2)
     for p, q in iter_farey_pairs(order):
         if p == 0 or p == q:
@@ -412,10 +392,10 @@ def check_base_cases(order: int, tally: Tally | None = None) -> Tally:
     return t
 
 
-def check_conservation(order: int, tally: Tally | None = None) -> Tally:
+def check_conservation(order: int) -> Tally:
     """Normalisation and counting over F_order: probabilities sum to 1 with
     mean degree (4q-2)/q, and built graphs have q+1 nodes and 2q-1 edges."""
-    t = tally or Tally("conservation")
+    t = Tally("conservation")
     for p, q in iter_farey_pairs(order):
         x = Fraction(p, q)
         g = build(x)

@@ -7,6 +7,7 @@ timings as they happen.
 
 import csv
 import hashlib
+import itertools
 import json
 import time
 from contextlib import contextmanager
@@ -103,8 +104,9 @@ def test_criterion_3_worked_degree_five_line():
 
 def test_criterion_4_continuant_identities():
     with criterion("criterion 4 (splitting and determinant identities)"):
-        tally = check_continuant_identities(term_grid(range(2, 9), 5))
-        check_continuant_identities(random_term_lists(10**4), tally=tally)
+        tally = check_continuant_identities(
+            itertools.chain(term_grid(range(2, 9), 5), random_term_lists(10**4))
+        )
         assert tally.failed == 0, tally.first_failure
         # exhaustive part: lengths 2..8 over terms 1..5, two identities each
         assert tally.passed == 2 * (sum(5**n for n in range(2, 9)) + 10**4)
@@ -119,7 +121,7 @@ def test_criterion_5_descent_recurrences():
 
 def test_criterion_6_piecewise_linearity_f500():
     with criterion("criterion 6 (piecewise linearity over F_500)"):
-        tally = check_piecewise_linearity(500, ks=(5, 6, 7, 8))
+        tally = check_piecewise_linearity(500)  # degrees 5..8
         assert tally.failed == 0, tally.first_failure
 
 

@@ -53,6 +53,22 @@ class TestCf:
         assert report["terms"] == [1]
         assert report["path"] is None and report["level"] == 1
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("q", [10**10, 10**200 + 7])
+    def test_refuses_a_word_above_the_cap(self, capsys, fmt, q):
+        code, out, err = run(capsys, "cf", f"1/{q}", "--format", fmt)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"error: the descent word has {q - 1} steps; the cap is 1000000 "
+            "(its runs are the terms with the last one less one)\n"
+        )
+
+    def test_word_at_the_cap_is_printed(self, capsys):
+        code, out, _ = run(capsys, "cf", "1/1000000")
+        assert code == 0
+        assert f"path: {'L' * 999_999}\n" in out
+
     @pytest.mark.parametrize("bad", ["", "x/y", "1/0", "-1/2", "7/3", "1.5"])
     def test_malformed_input_exits_2(self, capsys, bad):
         code, _, err = run(capsys, "cf", bad)

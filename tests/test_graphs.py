@@ -16,7 +16,7 @@ from harosgraph.graphs import (
     initial_graph,
     iter_identified_counts,
 )
-from harosgraph.tree import farey_sequence, iter_farey_pairs, symbolic_path
+from harosgraph.tree import iter_farey_pairs, symbolic_path
 
 
 def unit_fractions(max_den=200):
@@ -129,10 +129,10 @@ class TestBuild:
         return cur
 
     def test_matches_stepwise_navigation(self):
-        for x in farey_sequence(150):
-            if x == 0 or x == 1:
-                continue
-            assert build(x) == self.stepwise(x)
+        for p, q in iter_farey_pairs(150):
+            if 0 < p < q:
+                x = Fraction(p, q)
+                assert build(x) == self.stepwise(x)
 
     @pytest.mark.parametrize("x", ADVERSARIAL, ids=str)
     def test_matches_stepwise_navigation_adversarial(self, x):

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from harosgraph.errors import AdjacencyError, ResourceLimitError
-from harosgraph.exact import cf_expand
+from harosgraph.exact import cf_expand, convergents
 from harosgraph.tree import (
     BracketSide,
     MAX_TREE_LEVEL,
@@ -16,7 +16,6 @@ from harosgraph.tree import (
     SymbolicPath,
     _walk,
     farey_parents,
-    farey_sequence,
     iter_farey_pairs,
     level_index,
     locate_for_degree,
@@ -117,37 +116,30 @@ class TestMediant:
         assert lo.denominator * med.numerator - lo.numerator * med.denominator == 1
 
 
+def farey_bruteforce(n):
+    """F_n as (p, q) pairs, by sorting every reduced fraction."""
+    return sorted(
+        ((p, q) for q in range(1, n + 1) for p in range(0, q + 1) if gcd(p, q) == 1),
+        key=lambda pair: Fraction(*pair),
+    )
+
+
 class TestFareySequence:
     def test_small_orders(self):
-        assert farey_sequence(1) == [Fraction(0), Fraction(1)]
-        assert farey_sequence(2) == [Fraction(0), Fraction(1, 2), Fraction(1)]
+        assert list(iter_farey_pairs(1)) == [(0, 1), (1, 1)]
+        assert list(iter_farey_pairs(2)) == [(0, 1), (1, 2), (1, 1)]
 
     def test_order_five_against_bruteforce(self):
-        expected = sorted(
-            {
-                Fraction(p, q)
-                for q in range(1, 6)
-                for p in range(0, q + 1)
-                if gcd(p, q) == 1
-            }
-        )
-        assert farey_sequence(5) == expected
+        expected = farey_bruteforce(5)
+        assert list(iter_farey_pairs(5)) == expected
         assert len(expected) == 11
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 30, 121])
     def test_matches_bruteforce_and_adjacency(self, n):
-        got = farey_sequence(n)
-        expected = sorted(
-            {
-                Fraction(p, q)
-                for q in range(1, n + 1)
-                for p in range(0, q + 1)
-                if gcd(p, q) == 1
-            }
-        )
-        assert got == expected
-        for a, b in zip(got, got[1:]):
-            assert b.numerator * a.denominator - a.numerator * b.denominator == 1
+        got = list(iter_farey_pairs(n))
+        assert got == farey_bruteforce(n)
+        for (a, b), (c, d) in zip(got, got[1:]):
+            assert c * b - a * d == 1
 
     def test_rejects_order_zero(self):
         with pytest.raises(ValueError):
@@ -247,6 +239,32 @@ class TestSymbolicPath:
 
         tally = check_path_roundtrips(200)
         assert tally.failed == 0, tally.first_failure
+
+
+class TestFareyParents:
+    @staticmethod
+    def by_convergents(x):
+        """The previous convergent of x and the complementary
+        semiconvergent, in numeric order."""
+        conv = convergents(cf_expand(x))
+        prev = conv[-2] if len(conv) >= 2 else Fraction(0)
+        other = Fraction(x.numerator - prev.numerator, x.denominator - prev.denominator)
+        return tuple(sorted((prev, other)))
+
+    def test_matches_convergents_f150(self):
+        for p, q in iter_farey_pairs(150):
+            if 0 < p < q:
+                x = Fraction(p, q)
+                assert farey_parents(x) == self.by_convergents(x), x
+
+    def test_matches_convergents_on_deep_inputs(self):
+        big = 10**200 + 7
+        for x in (Fraction(1, big), Fraction(3, big), Fraction(big - 1, big),
+                  Fraction(317811, 514229), Fraction(1, 2)):
+            lo, hi = farey_parents(x)
+            assert (lo, hi) == self.by_convergents(x)
+            assert mediant(lo, hi) == x
+            assert tree_children(x) == (mediant(lo, x), mediant(x, hi))
 
 
 class TestTreeChildren:

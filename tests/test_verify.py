@@ -1,9 +1,13 @@
 """The bulk verification suites on small orders, plus tally plumbing."""
 
 import re
+from fractions import Fraction
 
 import pytest
 
+import harosgraph.distribution
+import harosgraph.graphs
+import harosgraph.verify
 from harosgraph.errors import ResourceLimitError
 from harosgraph.verify import (
     Tally,
@@ -38,8 +42,6 @@ class TestSuites:
         assert t.passed > 0
 
     def test_continuant_identities_catch_corruption(self, monkeypatch):
-        import harosgraph.verify
-
         real = harosgraph.verify.continuant
         monkeypatch.setattr(
             harosgraph.verify, "continuant", lambda xs: real(xs) + 1
@@ -73,7 +75,95 @@ class TestSuites:
         assert check_conservation(60).failed == 0
 
 
+def plant(monkeypatch, module, name, wrap):
+    """Replace module.name by wrap(the real function) for one test."""
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+
+
+def counts_plus_one(real):
+    return lambda p, q: {k: m + 1 for k, m in real(p, q).items()}
+
+
+class TestPlantedBugs:
+    """Each suite fails, and names the case, on an off-by-one planted in
+    a layer it guards."""
+
+    def test_triple_catches_cf_form(self, monkeypatch):
+        plant(monkeypatch, harosgraph.verify, "_cf_form_counts", counts_plus_one)
+        t = check_triple_equality(20)
+        assert t.failed > 0
+        assert t.first_failure.startswith("triple-equality: counts at 1/20: oracle {")
+
+    def test_piecewise_linearity_catches_cf_form(self, monkeypatch):
+        plant(monkeypatch, harosgraph.verify, "_cf_form_counts", counts_plus_one)
+        t = check_piecewise_linearity(20)
+        assert t.failed > 0
+        assert "in (1/3, 1/2) for degree 5" in t.first_failure
+
+    def test_triple_catches_interval_form(self, monkeypatch):
+        plant(
+            monkeypatch, harosgraph.distribution, "_count_at",
+            lambda real: lambda state: real(state) + 1,
+        )
+        t = check_triple_equality(20)
+        assert t.failed > 0
+        assert t.first_failure == (
+            "triple-equality: P(5, 1/20)·q: cf form 0 != interval form 1"
+        )
+
+    @pytest.mark.parametrize("suite", ["triple", "recurrences"])
+    def test_build_steps_are_caught(self, monkeypatch, suite):
+        plant(
+            monkeypatch, harosgraph.graphs, "_left_steps",
+            lambda real: lambda left, cur, r: real(left, cur, r + 1),
+        )
+        if suite == "triple":
+            t = check_triple_equality(20)
+            case = "counts at 1/20: oracle {2: 1, 3: 20, 24: 1}"
+        else:
+            t = check_descent_recurrences(3, 8)
+            case = "raise-last descent at 2/5, degree 5 (l=1), child 3/7"
+        assert t.failed > 0
+        assert case in t.first_failure
+
+    def test_path_roundtrips_catch_replay(self, monkeypatch):
+        def numerator_plus_one(real):
+            def replay(path):
+                x = real(path)
+                return Fraction(x.numerator + 1, x.denominator)
+
+            return replay
+
+        plant(monkeypatch, harosgraph.verify, "replay_path", numerator_plus_one)
+        t = check_path_roundtrips(20)
+        assert t.failed > 0
+        assert t.first_failure.endswith(" missed 1/20")
+
+    def test_path_roundtrips_catch_level(self, monkeypatch):
+        plant(
+            monkeypatch, harosgraph.verify, "level_index",
+            lambda real: lambda x: real(x) + 1,
+        )
+        t = check_path_roundtrips(20)
+        assert t.failed > 0
+        assert t.first_failure == "path-roundtrips: level of 1/20 is not path length + 1"
+
+
 class TestRunVerification:
+    def test_pinned_tallies_at_order_150(self):
+        # pinned per suite: a change that moves two tallies in opposite
+        # directions keeps the total
+        manifest, tallies = run_verification("all", order=150, levels=13)
+        assert {t.name: (t.passed, t.failed) for t in tallies} == {
+            "continuant-identities": (14_912, 0),
+            "cf-continuant-link": (6_858, 0),
+            "path-roundtrips": (20_571, 0),
+            "descent-recurrences": (36_868, 0),
+            "triple-equality": (138_422, 0),
+            "piecewise-linearity": (135, 0),
+        }
+        assert manifest.checks_passed == 217_766
+
     def test_all_suites_pass(self):
         manifest, tallies = run_verification("all", order=30, levels=8)
         assert manifest.checks_failed == 0
