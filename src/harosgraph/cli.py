@@ -232,6 +232,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     out_path = args.out
     tmp_path = out_path + ".partial"
+    as_csv = args.format == "csv"
     count = 0
     worst = Fraction(0)
     try:
@@ -240,27 +241,32 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise _UsageError(f"cannot write {out_path!r}: {exc}")
     try:
         with handle:
-            if args.format == "csv":
-                writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(SWEEP_FIELDS)
-            else:
-                handle.write("[")
+            handle.write(SWEEP_CSV_HEADER + "\n" if as_csv else "[")
+            separator = "\n"  # before each JSON record; ",\n" after the first
             for p, q, rows in sweep(args.k, args.order, row_cap=args.max_rows):
                 x_float = p / q
-                if args.format == "csv":
-                    x_float = f"{x_float:.17g}"
-                for k, *counts in rows:
-                    if max(counts) != min(counts):
+                prefix = f"{p},{q},{x_float:.17g},"
+                lines = []
+                for k, a, b, c in rows:
+                    if a != b or b != c:
                         # the three counts share the denominator q
-                        worst = max(worst, Fraction(max(counts) - min(counts), q))
-                    row = [p, q, x_float, k] + _reduced_cells(counts, q)
-                    if args.format == "csv":
-                        writer.writerow(row)
+                        worst = max(worst, Fraction(max(a, b, c) - min(a, b, c), q))
+                    # each count over q in lowest terms: numerator, denominator
+                    cells = (
+                        k,
+                        a // (g := gcd(a, q)), q // g,
+                        b // (g := gcd(b, q)), q // g,
+                        c // (g := gcd(c, q)), q // g,
+                    )
+                    if as_csv:
+                        lines.append(prefix + "%d,%d,%d,%d,%d,%d,%d\n" % cells)
                     else:
-                        record = json.dumps(dict(zip(SWEEP_FIELDS, row)))
-                        handle.write(("\n" if count == 0 else ",\n") + record)
-                    count += 1
-            if args.format == "json":
+                        record = dict(zip(SWEEP_FIELDS, (p, q, x_float) + cells))
+                        lines.append(separator + json.dumps(record))
+                        separator = ",\n"
+                handle.write("".join(lines))
+                count += len(rows)
+            if not as_csv:
                 handle.write("\n]\n" if count else "]\n")
         os.replace(tmp_path, out_path)
     except OSError as exc:
@@ -276,15 +282,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"max cross-method discrepancy: {_fmt(worst)}"
     )
     return EXIT_OK
-
-
-def _reduced_cells(counts: list[int], q: int) -> list[int]:
-    """Numerator and denominator of each count / q, in lowest terms."""
-    cells = []
-    for numerator in counts:
-        divisor = gcd(numerator, q)
-        cells += (numerator // divisor, q // divisor)
-    return cells
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -145,18 +145,19 @@ def interval_form_value(k: int, x: Fraction) -> Fraction:
     """
     x = _unit_fraction(x, open=True)
     q = x.denominator
-    (count,) = _interval_form_counts((k,), x.numerator, q)
+    (count,) = _interval_form_counts((_degree(k),), x.numerator, q)
     return Fraction(count, q)
 
 
 def _interval_form_counts(ks: Sequence[int], p: int, q: int) -> list[int]:
     """Integer core of the interval form: P(k, p/q)·q for each k of ks.
 
-    For coprime 0 < p < q and ascending integer degrees ks >= 5 (a float,
-    bool or str degree raises :class:`NotRationalError`, one below 5
-    ValueError).  p/q > 1/2 is mirrored first.  One descent serves every
-    degree (:func:`tree._walk`), so the cost is O(m + len(ks)); each
-    walk state gives its count through :func:`_count_at`.
+    For coprime 0 < p < q and ascending int degrees ks >= 5, unchecked: the
+    callers check their degrees (the public ones through
+    :func:`exact._degree`).  p/q > 1/2 is mirrored first.  One descent
+    serves every degree (:func:`tree._walk`), so the cost is
+    O(m + len(ks)); each walk state gives its count through
+    :func:`_count_at`.
     """
     if 2 * p > q:
         p = q - p
@@ -199,7 +200,7 @@ def interval_form_value_real(k: int, x: float) -> float:
         raise ValueError(f"x must lie strictly inside (0, 1), got {x!r}")
     y = min(x, 1.0 - x)
     p, q = y.as_integer_ratio()
-    state = next(_walk((k,), p, q))
+    state = next(_walk((_degree(k),), p, q))
     if state is not None:
         # The walk closes in on y from both sides, so the nearest node it
         # compared against is one of these five; b > 1 skips the seeds.

@@ -14,8 +14,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import AdjacencyError, ResourceLimitError
-from .exact import _unit_fraction
-from .tree import LEFT, symbolic_path
+from .exact import _cf_terms, _unit_fraction
 
 __all__ = [
     "BUILD_MAX_DENOMINATOR",
@@ -99,11 +98,15 @@ def build(x: Fraction) -> HarosGraph:
     if x == 0 or x == 1:
         return initial_graph(x)
     # The walk starts on the graph of 1/1 with 0/1 as its left neighbour, so
-    # the opening L step concatenates the seeds into the graph of 1/2.
+    # the opening L step concatenates the seeds into the graph of 1/2.  The
+    # runs of the descent word are the continued-fraction terms with the
+    # last one less one, L first and the sides alternating.
+    runs = list(_cf_terms(x.numerator, x.denominator))
+    runs[-1] -= 1
     left = cur = right = [1, 1]
-    for symbol, count in symbolic_path(x).runs:
+    for i, count in enumerate(runs):
         # the node one step short of the run's end becomes the new neighbour
-        if symbol == LEFT:
+        if i % 2 == 0:  # an L run
             right = _left_steps(left, cur, count - 1)
             cur = _left_steps(left, right, 1)
         else:

@@ -251,7 +251,7 @@ def locate_for_degree(k: int, x: Fraction) -> EnclosingBracket:
     level the side is ELSEWHERE and the three fractions are None.
     """
     x = _unit_fraction(x, open=True)
-    state = next(_walk((k,), x.numerator, x.denominator))
+    state = next(_walk((_degree(k),), x.numerator, x.denominator))
     if state is None:
         return EnclosingBracket(None, None, None, BracketSide.ELSEWHERE)
     a, b, c, d, below, above = state
@@ -281,7 +281,8 @@ def locate_for_degree(k: int, x: Fraction) -> EnclosingBracket:
 def _walk(ks: Iterable[int], p: int, q: int) -> Iterator[tuple[int, ...] | None]:
     """Integer-pair descent towards p/q, 0 < p/q < 1, for ascending degrees.
 
-    For each degree k of ks (an integer >= 5, checked) the walk goes on from
+    For each degree k of ks (an int >= 5: the walk trusts its caller, and the
+    public entry points check their degrees) the walk goes on from
     where the last degree left it, down to the pivot level k - 3, one L or
     R run at a time: the length of a run is a floor division of two
     cross-products of p/q with the current Farey parents.  It yields
@@ -297,7 +298,7 @@ def _walk(ks: Iterable[int], p: int, q: int) -> Iterator[tuple[int, ...] | None]
     below, above = p, q - p
     walked = 5
     for k in ks:
-        steps = _degree(k) - walked
+        steps = k - walked
         # Both gaps stay positive.  The node after an L run of j is
         # (j*a + c)/(j*b + d), still above p/q while j*below < above; an R
         # run mirrors that.  Each run is one step of Euclid's algorithm on

@@ -220,6 +220,40 @@ class TestSweep:
         assert len(records) == 3
         assert set(records[0]) == set(SWEEP_CSV_HEADER.split(","))
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_disagreeing_counts_are_written_and_summarised(
+        self, capsys, tmp_path, monkeypatch, fmt
+    ):
+        # the three routes never disagree on real input, so plant two groups
+        def planted(ks, order, row_cap):
+            yield 1, 3, [(5, 1, 2, 1)]
+            yield 2, 5, [(5, 0, 0, 3)]
+
+        monkeypatch.setattr(cli, "sweep", planted)
+        out_file = tmp_path / f"s.{fmt}"
+        code, out, _ = run(
+            capsys, "sweep", "--k", "5", "--order", "5",
+            "--out", str(out_file), "--format", fmt,
+        )
+        assert code == 0
+        assert out == (f"wrote 2 rows to {out_file}; "
+                       "max cross-method discrepancy: 3/5\n")
+        expected = [
+            "1,3,0.33333333333333331,5,1,3,2,3,1,3",
+            "2,5,0.40000000000000002,5,0,1,0,1,3,5",
+        ]
+        if fmt == "csv":
+            assert out_file.read_text().splitlines() == [SWEEP_CSV_HEADER] + expected
+        else:
+            records = json.loads(out_file.read_text())
+            assert [list(r) for r in records] == [SWEEP_CSV_HEADER.split(",")] * 2
+            for record, line in zip(records, expected):
+                cells = line.split(",")
+                assert record["x_float"] == int(cells[0]) / int(cells[1])
+                assert [str(v) for k, v in record.items() if k != "x_float"] == (
+                    cells[:2] + cells[3:]
+                )
+
     def test_empty_order_one(self, capsys, tmp_path):
         out_file = tmp_path / "s.csv"
         code, out, _ = run(
