@@ -47,7 +47,10 @@ SWEEP_CSV_HEADER = (
     "x_num,x_den,x_float,k,"
     "p_thm1_num,p_thm1_den,p_thm2_num,p_thm2_den,p_oracle_num,p_oracle_den"
 )
-SWEEP_FIELDS = SWEEP_CSV_HEADER.split(",")
+# A JSON sweep record keyed by the CSV columns; %r writes x_float as json.dumps does
+SWEEP_JSON_RECORD = "{%s}" % ", ".join(
+    '"%s": %s' % (name, "%r" if name == "x_float" else "%d") for name in SWEEP_CSV_HEADER.split(",")
+)
 
 _FRACTION_RE = re.compile(r"\s*(\d+)\s*/\s*(\d+)\s*\Z")
 
@@ -261,8 +264,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     if as_csv:
                         lines.append(prefix + "%d,%d,%d,%d,%d,%d,%d\n" % cells)
                     else:
-                        record = dict(zip(SWEEP_FIELDS, (p, q, x_float) + cells))
-                        lines.append(separator + json.dumps(record))
+                        lines.append(separator + SWEEP_JSON_RECORD % ((p, q, x_float) + cells))
                         separator = ",\n"
                 handle.write("".join(lines))
                 count += len(rows)

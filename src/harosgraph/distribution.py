@@ -38,7 +38,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .errors import AmbiguousBreakpointError, ResourceLimitError
-from .exact import _cf_terms, _degree, _unit_fraction
+from .exact import _cf_terms, _degree, _integer, _unit_fraction
 from .graphs import build, identify_boundary, iter_identified_counts
 from .tree import _walk
 
@@ -266,6 +266,7 @@ def sweep_row_count(
     near sqrt(cap) and doubles, so it never reaches much past
     2·sqrt(cap), however large ``order`` is.
     """
+    order = _integer(order, "a Farey order")
     per_x = len(set(degrees))
     if not per_x:
         return 0  # with a cap, doubling would otherwise run up to ``order``
@@ -308,6 +309,7 @@ def sweep(
     ks = sorted({_degree(k) for k in degrees})
     if not ks:
         raise ValueError("need at least one degree to sweep")
+    order = _integer(order, "a Farey order")
     if order < 1:
         raise ValueError(f"Farey order must be >= 1, got {order}")
     if row_cap is not None:

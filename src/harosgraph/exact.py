@@ -70,19 +70,23 @@ def _unit_fraction(x: Fraction, open: bool) -> Fraction:
     return x
 
 
-def _degree(k: int) -> int:
-    """k as a degree of the interval form: an integer >= 5.
-
-    Ints pass through; other integral numbers are converted.  Floats (even
-    6.0), bools and non-numbers raise :class:`NotRationalError`, degrees
-    below 5 ValueError.
-    """
-    if type(k) is not int:
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+def _integer(n: int, what: str) -> int:
+    """n, a degree, order or level named by ``what``, as an int: other
+    integral numbers are converted; floats (even 6.0), bools and
+    non-numbers raise :class:`NotRationalError`."""
+    if type(n) is not int:
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
             raise NotRationalError(
-                f"a degree must be an integer, got {type(k).__name__} {k!r}"
+                f"{what} must be an integer, got {type(n).__name__} {n!r}"
             )
-        k = int(k)
+        n = int(n)
+    return n
+
+
+def _degree(k: int) -> int:
+    """k as a degree of the interval form: an integer >= 5 (see
+    :func:`_integer`); degrees below 5 raise ValueError."""
+    k = _integer(k, "a degree")
     if k < 5:
         raise ValueError(f"the interval form needs a degree >= 5, got {k}")
     return k

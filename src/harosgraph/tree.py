@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import AdjacencyError, ResourceLimitError
-from .exact import _cf_terms, _degree, _unit_fraction
+from .exact import _cf_terms, _degree, _integer, _unit_fraction
 
 __all__ = [
     "LEFT",
@@ -103,10 +103,11 @@ class EnclosingBracket:
 def mediant(left: Fraction, right: Fraction) -> Fraction:
     """Mediant (p+r)/(q+s) of two Farey-adjacent fractions with left < right.
 
-    Adjacency (qr - ps = 1) guarantees the result is already reduced and
-    lies strictly between the inputs; anything else is a caller bug and is
-    rejected.
+    Both inputs must be exact rationals in [0, 1].  Adjacency (qr - ps = 1)
+    guarantees the result is already reduced and lies strictly between the
+    inputs; anything else is a caller bug and is rejected.
     """
+    left, right = _unit_fraction(left, open=False), _unit_fraction(right, open=False)
     p, q = left.numerator, left.denominator
     r, s = right.numerator, right.denominator
     if q * r - p * s != 1:
@@ -116,18 +117,33 @@ def mediant(left: Fraction, right: Fraction) -> Fraction:
 
 def iter_farey_pairs(n: int):
     """Yield (p, q) over the Farey sequence F_n in increasing order."""
+    n = _integer(n, "a Farey order")
     if n < 1:
         raise ValueError(f"Farey order must be >= 1, got {n}")
-    a, b, c, d = 0, 1, 1, n
-    yield a, b
-    while c <= d:
-        yield c, d
-        k = (n + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
+    yield 0, 1
+    yield from _pairs_between(0, 1, 1, 1, n)
+    yield 1, 1
+
+
+def _pairs_between(a: int, b: int, c: int, d: int, n: int) -> Iterator[tuple[int, int]]:
+    """Yield the (p, q) of F_n strictly between the Farey neighbours a/b < c/d,
+    ascending, in constant memory.  Each has q >= b + d; the first is the
+    neighbour (j·a + c)/(j·b + d) of a/b with the largest q <= n, and after
+    consecutive terms a/b < e/f comes (k·e - a)/(k·f - b), k = (n + b) // f,
+    up to c/d, the first term with denominator d."""
+    if b + d > n:
+        return
+    j = (n - d) // b
+    e, f = j * a + c, j * b + d
+    while f != d:
+        yield e, f
+        k = (n + b) // f
+        a, b, e, f = e, f, k * e - a, k * f - b
 
 
 def tree_level(k: int) -> TreeLevel:
     """The fractions of tree level k: {0/1, 1/1}, {1/2}, {1/3, 2/3}, ..."""
+    k = _integer(k, "a tree level")
     if k < 1:
         raise ValueError(f"levels are numbered from 1, got {k}")
     if k > MAX_TREE_LEVEL:

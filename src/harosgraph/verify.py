@@ -8,7 +8,7 @@ counts, and records the first counterexample as plain fractions.  The CLI
 
 from __future__ import annotations
 
-import bisect
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -18,11 +18,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .distribution import _cf_form_counts, _interval_form_counts, cf_form_distribution
 from .errors import ResourceLimitError
-from .exact import ContinuedFraction, _cf_terms, cf_value, continuant, suffix_continuants
+from .exact import _cf_terms, _integer, continuant, suffix_continuants
 from .graphs import build, identify_boundary
 from .tree import (
     LEFT,
     RIGHT,
+    _pairs_between,
     iter_farey_pairs,
     level_index,
     replay_path,
@@ -70,6 +71,7 @@ class Tally:
     first_failure: str | None = None
 
     def check(self, ok: bool, describe: Callable[[], str] | str) -> bool:
+        """Count one check; ``describe`` runs at once, on the first failure only."""
         if ok:
             self.passed += 1
         else:
@@ -229,14 +231,6 @@ def check_triple_equality(order: int) -> Tally:
     return t
 
 
-def _decremented_tail(terms: Sequence[int], l: int) -> tuple[int, ...]:
-    """[a_{l+1} - 1, a_{l+2}, ..., a_j] as a raw continuant argument; empty
-    when l is past the end (K of the empty list is 1)."""
-    if l >= len(terms):
-        return ()
-    return (terms[l] - 1,) + tuple(terms[l + 1 :])
-
-
 def check_descent_recurrences(min_level: int, max_level: int) -> Tally:
     """Descent recurrences for the emergent-degree counts, on actual graphs.
 
@@ -246,61 +240,58 @@ def check_descent_recurrences(min_level: int, max_level: int) -> Tally:
     count(node) + 1 nodes of the top emergent degree when l = m - 1), and
     appending ", 2" after dropping one from the last term gives
     count(child) = 2 s_{a/b}^(l,m) + s_{a/b}^(l,m-1).  The left-hand counts
-    are read off explicitly built graphs; the s terms are continuants of
-    decremented truncation lists.  Nodes above 1/2 are checked through
-    their mirror, whose children are the mirrored children.
+    are read off explicitly built graphs; each s term, the continuant of a
+    decremented tail [a_{l+1} - 1, a_{l+2}, ...], is S[l] - S[l+1] of the
+    list's suffix continuants S.  Nodes above 1/2 are checked through their
+    mirror, whose children are the mirrored children.
     """
     t = Tally("descent-recurrences")
-    cache: dict[Fraction, dict[int, int]] = {}
-
-    def counts_of(x: Fraction) -> dict[int, int]:
-        got = cache.get(x)
-        if got is None:
-            got = identify_boundary(build(x))
-            cache[x] = got
-        return got
-
+    counts_of = functools.cache(lambda p, q: identify_boundary(build(Fraction(p, q))))
     for levels in range(min_level, max_level + 1):
         for x in tree_level(levels).fractions:
-            y = x if 2 * x <= 1 else 1 - x
-            terms = _cf_terms(y.numerator, y.denominator)
+            p, q = x.numerator, x.denominator
+            if 2 * p > q:
+                p = q - p
+            terms = _cf_terms(p, q)
             m = len(terms)
             if m < 2:
                 continue
-            plus_child = cf_value(ContinuedFraction(terms[:-1] + (terms[-1] + 1,)))
-            two_child = cf_value(ContinuedFraction(terms[:-1] + (terms[-1] - 1, 2)))
-            shorter = terms[:-1]
-            dropped = shorter + (terms[-1] - 1,)
-            node_counts = counts_of(y)
-            plus_counts = counts_of(plus_child)
-            two_counts = counts_of(two_child)
+            shorter, last = terms[:-1], terms[-1]
+            dropped = shorter + (last - 1,)
+            plus_terms, two_terms = shorter + (last + 1,), dropped + (2,)
+            # a term list t has the value K(t[1:]) / K(t)
+            plus_child = continuant(plus_terms[1:]), continuant(plus_terms)
+            two_child = continuant(two_terms[1:]), continuant(two_terms)
+            plus_counts, two_counts = counts_of(*plus_child), counts_of(*two_child)
+            s_inner = suffix_continuants(shorter[:-1])
+            s_shorter = suffix_continuants(shorter)
+            s_dropped = suffix_continuants(dropped)
             degree = 3
             for l in range(1, m):
                 degree += terms[l - 1]
+                s_tail = s_shorter[l] - s_shorter[l + 1]
                 if l <= m - 2:
-                    expected_plus = continuant(_decremented_tail(shorter[:-1], l)) + (
-                        terms[-1] + 1
-                    ) * continuant(_decremented_tail(shorter, l))
+                    expected_plus = s_inner[l] - s_inner[l + 1] + (last + 1) * s_tail
                 else:
-                    expected_plus = node_counts.get(degree, 0) + 1
+                    expected_plus = counts_of(p, q).get(degree, 0) + 1
                 t.check(
                     plus_counts.get(degree, 0) == expected_plus,
-                    lambda y=y, l=l, degree=degree, plus_child=plus_child: (
-                        f"raise-last descent at {y}, degree {degree} (l={l}), "
-                        f"child {plus_child}"
-                    ),
+                    lambda: f"raise-last descent at {p}/{q}, degree {degree} (l={l}), "
+                    f"child {plus_child[0]}/{plus_child[1]}",
                 )
-                expected_two = 2 * continuant(
-                    _decremented_tail(dropped, l)
-                ) + continuant(_decremented_tail(shorter, l))
+                expected_two = 2 * (s_dropped[l] - s_dropped[l + 1]) + s_tail
                 t.check(
                     two_counts.get(degree, 0) == expected_two,
-                    lambda y=y, l=l, degree=degree, two_child=two_child: (
-                        f"append-two descent at {y}, degree {degree} (l={l}), "
-                        f"child {two_child}"
-                    ),
+                    lambda: f"append-two descent at {p}/{q}, degree {degree} (l={l}), "
+                    f"child {two_child[0]}/{two_child[1]}",
                 )
     return t
+
+
+def _det(u: Sequence[int], v: Sequence[int], w: Sequence[int]) -> int:
+    """Determinant of the 3×3 integer matrix with rows u, v, w."""
+    (a, b, c), (d, e, f), (g, h, i) = u, v, w
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def check_piecewise_linearity(order: int) -> Tally:
@@ -310,64 +301,46 @@ def check_piecewise_linearity(order: int) -> Tally:
     children (level k-2), all sampled values are collinear; the lines of the
     two sides meet at the pivot at height 1/q_pivot and vanish at the child
     endpoints; the sampled fractions sitting exactly on those breakpoints
-    take the removable values 0 and 1/q instead.  Each P(k, x) is read
-    from the continued-fraction core once: the subintervals of one degree
-    are disjoint and hold no breakpoint.
+    take the removable values 0 and 1/q instead.  Each subinterval is walked
+    on its own in constant memory; a sample p/q is the point (p, c, q) with
+    c = P(k, p/q)·q read once from the continued-fraction core, and as the
+    samples have distinct x they are collinear when each one's determinant
+    with the first two is 0, as is the line's at (p, 1, q) on the pivot and
+    at (p, 0, q) on the child.
     """
     t = Tally("piecewise-linearity")
-    grid = [Fraction(p, q) for p, q in iter_farey_pairs(order)]
-
-    def samples(lo: Fraction, hi: Fraction) -> list[Fraction]:
-        i = bisect.bisect_right(grid, lo)
-        j = bisect.bisect_left(grid, hi)
-        return grid[i:j]
-
-    def prob(k: int, x: Fraction) -> Fraction:
-        p, q = x.numerator, x.denominator
-        return Fraction(_cf_form_counts(p, q).get(k, 0), q)
-
+    order = _integer(order, "a Farey order")  # _pairs_between trusts it
     for k in (5, 6, 7, 8):
         for pivot in tree_level(k - 3).fractions:
             lower, upper = tree_children(pivot)
-            peak = Fraction(1, pivot.denominator)
-            for lo, hi in ((lower, pivot), (pivot, upper)):
-                pts = [(x, prob(k, x)) for x in samples(lo, hi)]
-                collinear = all(
-                    (pts[i + 1][0] - pts[i][0]) * (pts[i + 2][1] - pts[i + 1][1])
-                    == (pts[i + 2][0] - pts[i + 1][0]) * (pts[i + 1][1] - pts[i][1])
-                    for i in range(len(pts) - 2)
+            a, b = pivot.numerator, pivot.denominator
+            for lo, hi, child in ((lower, pivot, lower), (pivot, upper, upper)):
+                pairs = _pairs_between(lo.numerator, lo.denominator, hi.numerator, hi.denominator, order)
+                pts = ((p, _cf_form_counts(p, q).get(k, 0), q) for p, q in pairs)
+                first, second = next(pts, None), next(pts, None)
+                t.check(
+                    second is None or all(_det(first, second, pt) == 0 for pt in pts),
+                    lambda: f"samples not collinear in ({lo}, {hi}) for degree {k}",
+                )
+                if second is None:
+                    continue
+                t.check(
+                    _det(first, second, (a, 1, b)) == 0,
+                    lambda: f"piece over ({lo}, {hi}) does not reach 1/{b} at the pivot for degree {k}",
                 )
                 t.check(
-                    collinear,
-                    lambda k=k, lo=lo, hi=hi: f"samples not collinear in ({lo}, {hi}) for degree {k}",
+                    _det(first, second, (child.numerator, 0, child.denominator)) == 0,
+                    lambda: f"piece does not vanish at {child} for degree {k}",
                 )
-                if len(pts) >= 2:
-                    (x1, y1), (x2, y2) = pts[0], pts[1]
-
-                    def line_at(x: Fraction) -> Fraction:
-                        return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
-
-                    t.check(
-                        line_at(pivot) == peak,
-                        lambda k=k, lo=lo, hi=hi: (
-                            f"piece over ({lo}, {hi}) does not reach 1/{pivot.denominator} "
-                            f"at the pivot for degree {k}"
-                        ),
-                    )
-                    child = lo if lo != pivot else hi
-                    t.check(
-                        line_at(child) == 0,
-                        lambda k=k, child=child: f"piece does not vanish at {child} for degree {k}",
-                    )
             # the breakpoints themselves take the removable values
             t.check(
-                prob(k, pivot) == 0,
-                lambda k=k, pivot=pivot: f"P({k}, {pivot}) is not 0 on the pivot",
+                _cf_form_counts(a, b).get(k, 0) == 0,
+                lambda: f"P({k}, {pivot}) is not 0 on the pivot",
             )
             for child in (lower, upper):
                 t.check(
-                    prob(k, child) == Fraction(1, child.denominator),
-                    lambda k=k, child=child: f"P({k}, {child}) is not 1/q on the child level",
+                    _cf_form_counts(child.numerator, child.denominator).get(k, 0) == 1,
+                    lambda: f"P({k}, {child}) is not 1/q on the child level",
                 )
     return t
 
@@ -423,6 +396,8 @@ def run_verification(
     """Run the named suite and return the manifest plus per-check tallies."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose one of {SUITES}")
+    order = _integer(order, "a Farey order")
+    levels = _integer(levels, "a tree level")
     if not 1 <= order <= MAX_VERIFY_ORDER:
         raise ResourceLimitError(
             f"verification order must lie in 1..{MAX_VERIFY_ORDER}, got {order}"

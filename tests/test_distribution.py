@@ -35,9 +35,12 @@ from harosgraph.tree import (
     iter_farey_pairs,
     level_index,
     locate_for_degree,
+    mediant,
     symbolic_path,
     tree_children,
+    tree_level,
 )
+from harosgraph.verify import check_piecewise_linearity, run_verification
 from test_tree import fibonacci_ratios, stepwise_brackets
 
 
@@ -202,6 +205,41 @@ def test_non_integer_degree_is_a_package_type_error(name, bad):
 def test_degree_below_five_is_a_value_error(name):
     with pytest.raises(ValueError):
         DEGREE_INPUT_ENTRY_POINTS[name](4)
+
+
+# Each used to slip through or die inside: iter_farey_pairs(3.5) yielded
+# float pairs, the sweep and its row count raised a bare TypeError,
+# tree_level(3.0) gave TreeLevel(index=3.0, ...), mediant an AttributeError
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: list(iter_farey_pairs(3.5)),
+        lambda: list(iter_farey_pairs(True)),
+        lambda: list(sweep([5], 10.5)),
+        lambda: list(sweep([5], 10.5, row_cap=None)),
+        lambda: sweep_row_count([5], 10.5),
+        lambda: sweep_row_count([5], 10.5, cap=100),
+        lambda: tree_level(3.0),
+        lambda: tree_level(True),
+        lambda: mediant(0.5, Fraction(1)),
+        lambda: mediant(Fraction(0), 1.0),
+        lambda: run_verification("corollary", order=20.0),
+        lambda: check_piecewise_linearity(20.0),
+        lambda: run_verification("recurrences", levels=4.0),
+    ],
+    ids=[
+        "iter_farey_pairs(3.5)", "iter_farey_pairs(True)",
+        "sweep(10.5)", "sweep(10.5, no cap)",
+        "sweep_row_count(10.5)", "sweep_row_count(10.5, cap)",
+        "tree_level(3.0)", "tree_level(True)",
+        "mediant(0.5, 1)", "mediant(0, 1.0)",
+        "run_verification(order=20.0)", "check_piecewise_linearity(20.0)",
+        "run_verification(levels=4.0)",
+    ],
+)
+def test_bad_order_level_or_mediant_input_is_a_package_type_error(call):
+    with pytest.raises(NotRationalError):
+        call()
 
 
 class TestDegreeDistributionOracle:

@@ -14,6 +14,7 @@ from harosgraph.tree import (
     MAX_TREE_LEVEL,
     EnclosingBracket,
     SymbolicPath,
+    _pairs_between,
     _walk,
     farey_parents,
     iter_farey_pairs,
@@ -144,6 +145,18 @@ class TestFareySequence:
     def test_rejects_order_zero(self):
         with pytest.raises(ValueError):
             list(iter_farey_pairs(0))
+
+
+class TestPairsBetween:
+    @pytest.mark.parametrize("order", [1, 2, 5, 13, 40])
+    def test_is_the_farey_sequence_between_neighbours(self, order):
+        # every pair of Farey neighbours with denominators up to 9, some of
+        # them above the order
+        neighbours = farey_bruteforce(9)
+        full = farey_bruteforce(order)
+        for (a, b), (c, d) in zip(neighbours, neighbours[1:]):
+            expected = [(p, q) for p, q in full if a * q < p * b and p * d < c * q]
+            assert list(_pairs_between(a, b, c, d, order)) == expected
 
 
 class TestTreeLevel:

@@ -1,6 +1,7 @@
 """The bulk verification suites on small orders, plus tally plumbing."""
 
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ import harosgraph.graphs
 import harosgraph.verify
 from harosgraph.errors import ResourceLimitError
 from harosgraph.verify import (
+    MAX_VERIFY_ORDER,
     Tally,
     check_base_cases,
     check_cf_continuant_link,
@@ -68,6 +70,22 @@ class TestSuites:
     def test_piecewise_linearity(self):
         assert check_piecewise_linearity(60).failed == 0
 
+    def test_piecewise_linearity_at_the_order_cap(self):
+        t = check_piecewise_linearity(MAX_VERIFY_ORDER)
+        assert (t.passed, t.failed) == (135, 0)
+
+    def test_piecewise_linearity_walks_in_small_memory(self):
+        # each subinterval is walked on its own; a grid of all of F_500 as
+        # Fractions peaked at about 10 MB
+        tracemalloc.start()
+        try:
+            t = check_piecewise_linearity(500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (t.passed, t.failed) == (135, 0)
+        assert peak < 1_000_000
+
     def test_base_cases(self):
         assert check_base_cases(60).failed == 0
 
@@ -86,19 +104,22 @@ def counts_plus_one(real):
 
 class TestPlantedBugs:
     """Each suite fails, and names the case, on an off-by-one planted in
-    a layer it guards."""
+    a layer it guards.  The whole tally is pinned, so a rewrite of a suite
+    that skips or doubles checks on the failing side shows here."""
 
     def test_triple_catches_cf_form(self, monkeypatch):
         plant(monkeypatch, harosgraph.verify, "_cf_form_counts", counts_plus_one)
         t = check_triple_equality(20)
-        assert t.failed > 0
+        assert (t.passed, t.failed) == (689, 397)
         assert t.first_failure.startswith("triple-equality: counts at 1/20: oracle {")
 
     def test_piecewise_linearity_catches_cf_form(self, monkeypatch):
         plant(monkeypatch, harosgraph.verify, "_cf_form_counts", counts_plus_one)
         t = check_piecewise_linearity(20)
-        assert t.failed > 0
-        assert "in (1/3, 1/2) for degree 5" in t.first_failure
+        assert (t.passed, t.failed) == (49, 62)
+        assert t.first_failure == (
+            "piecewise-linearity: samples not collinear in (1/3, 1/2) for degree 5"
+        )
 
     def test_triple_catches_interval_form(self, monkeypatch):
         plant(
@@ -106,7 +127,7 @@ class TestPlantedBugs:
             lambda real: lambda state: real(state) + 1,
         )
         t = check_triple_equality(20)
-        assert t.failed > 0
+        assert (t.passed, t.failed) == (127, 959)
         assert t.first_failure == (
             "triple-equality: P(5, 1/20)·q: cf form 0 != interval form 1"
         )
@@ -119,11 +140,11 @@ class TestPlantedBugs:
         )
         if suite == "triple":
             t = check_triple_equality(20)
-            case = "counts at 1/20: oracle {2: 1, 3: 20, 24: 1}"
+            tally, case = (959, 127), "counts at 1/20: oracle {2: 1, 3: 20, 24: 1}"
         else:
             t = check_descent_recurrences(3, 8)
-            case = "raise-last descent at 2/5, degree 5 (l=1), child 3/7"
-        assert t.failed > 0
+            tally, case = (32, 484), "raise-last descent at 2/5, degree 5 (l=1), child 3/7"
+        assert (t.passed, t.failed) == tally
         assert case in t.first_failure
 
     def test_path_roundtrips_catch_replay(self, monkeypatch):
@@ -136,7 +157,7 @@ class TestPlantedBugs:
 
         plant(monkeypatch, harosgraph.verify, "replay_path", numerator_plus_one)
         t = check_path_roundtrips(20)
-        assert t.failed > 0
+        assert (t.passed, t.failed) == (254, 127)
         assert t.first_failure.endswith(" missed 1/20")
 
     def test_path_roundtrips_catch_level(self, monkeypatch):
@@ -145,7 +166,7 @@ class TestPlantedBugs:
             lambda real: lambda x: real(x) + 1,
         )
         t = check_path_roundtrips(20)
-        assert t.failed > 0
+        assert (t.passed, t.failed) == (254, 127)
         assert t.first_failure == "path-roundtrips: level of 1/20 is not path length + 1"
 
 
