@@ -238,6 +238,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     as_csv = args.format == "csv"
     count = 0
     worst = Fraction(0)
+    # Most rows of a sweep are zero in all three columns: their CSV tail after
+    # the prefix depends on k alone
+    zero_tails = {k: "%d,0,1,0,1,0,1\n" % k for k in args.k}
     try:
         handle = open(tmp_path, "w", newline="")
     except OSError as exc:
@@ -251,16 +254,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 prefix = f"{p},{q},{x_float:.17g},"
                 lines = []
                 for k, a, b, c in rows:
-                    if a != b or b != c:
+                    # each count over q in lowest terms: numerator, denominator
+                    if a == b == c:
+                        if not a and as_csv:
+                            lines.append(prefix + zero_tails[k])
+                            continue
+                        num, den = a // (g := gcd(a, q)), q // g
+                        cells = (k, num, den, num, den, num, den)
+                    else:
                         # the three counts share the denominator q
                         worst = max(worst, Fraction(max(a, b, c) - min(a, b, c), q))
-                    # each count over q in lowest terms: numerator, denominator
-                    cells = (
-                        k,
-                        a // (g := gcd(a, q)), q // g,
-                        b // (g := gcd(b, q)), q // g,
-                        c // (g := gcd(c, q)), q // g,
-                    )
+                        cells = (
+                            k,
+                            a // (g := gcd(a, q)), q // g,
+                            b // (g := gcd(b, q)), q // g,
+                            c // (g := gcd(c, q)), q // g,
+                        )
                     if as_csv:
                         lines.append(prefix + "%d,%d,%d,%d,%d,%d,%d\n" % cells)
                     else:

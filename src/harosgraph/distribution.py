@@ -29,6 +29,7 @@ by convention.
 
 from __future__ import annotations
 
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,9 +38,9 @@ from math import isqrt
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .errors import AmbiguousBreakpointError, ResourceLimitError
+from .errors import AmbiguousBreakpointError, NotRationalError, ResourceLimitError
 from .exact import _cf_terms, _degree, _integer, _unit_fraction
-from .graphs import build, identify_boundary, iter_identified_counts
+from .graphs import _iter_counts_at, build, identify_boundary
 from .tree import _walk
 
 __all__ = [
@@ -154,29 +155,53 @@ def _interval_form_counts(ks: Sequence[int], p: int, q: int) -> list[int]:
 
     For coprime 0 < p < q and ascending int degrees ks >= 5, unchecked: the
     callers check their degrees (the public ones through
-    :func:`exact._degree`).  p/q > 1/2 is mirrored first.  One descent
-    serves every degree (:func:`tree._walk`), so the cost is
-    O(m + len(ks)); each walk state gives its count through
-    :func:`_count_at`.
+    :func:`exact._degree`).  p/q > 1/2 is mirrored first.  This is the
+    descent of :func:`tree._walk` on its two gaps alone, below = p·b - q·a
+    and above = q·c - p·d against the current Farey parents a/b < p/q < c/d:
+    each L or R run is one step of Euclid's algorithm on the gaps, cut short
+    at the pivot level k - 3 of the next degree, where :func:`_count_at`
+    reads the count off the gaps.  Equal gaps with levels still to go mean
+    p/q lies above that pivot level, so this degree and every later one
+    count 0 and the loop stops.  One descent serves every degree, so the
+    cost is O(m + len(ks)) for p/q = [a_1, ..., a_m].
     """
     if 2 * p > q:
         p = q - p
-    return [_count_at(state) for state in _walk(ks, p, q)]
+    below, above = p, q - p
+    walked = 5
+    counts = []
+    for k in ks:
+        steps = k - walked
+        while steps and below != above:
+            if above > below:
+                run = min((above - 1) // below, steps)
+                above -= run * below
+            else:
+                run = min((below - 1) // above, steps)
+                below -= run * above
+            steps -= run
+        if steps:
+            counts += [0] * (len(ks) - len(counts))
+            return counts
+        walked = k
+        counts.append(_count_at(below, above))
+    return counts
 
 
-def _count_at(state: tuple[int, ...] | None) -> int:
-    """P(k, p/q)·q from the :func:`tree._walk` state of p/q for degree k.
+def _count_at(below: int, above: int) -> int:
+    """P(k, p/q)·q from the gaps of p/q at the pivot level k - 3.
 
-    The count is the linear piece times q, the cross-product of p/q with
-    the child on its side of the pivot (a + c)/(b + d): for the lower child
-    (2a + c)/(2b + d) that is 2·below - above, for the upper child
-    (a + 2c)/(b + 2d) it is 2·above - below.  Where that is not positive
-    the count is 1 exactly on the child and 0 beyond it; it is also 0 on
-    the pivot (equal gaps) and above the pivot level (no state).
+    below = p·b - q·a and above = q·c - p·d are the gaps of p/q to the
+    pivot's Farey parents a/b and c/d (the ``state[4], state[5]`` of
+    :func:`tree._walk`).  The count is the linear piece times q, the
+    cross-product of p/q with the child on its side of the pivot
+    (a + c)/(b + d): for the lower child (2a + c)/(2b + d) that is
+    2·below - above, for the upper child (a + 2c)/(b + 2d) it is
+    2·above - below.  Where that is not positive the count is 1 exactly on
+    the child and 0 beyond it; it is also 0 on the pivot (equal gaps).
     """
-    if state is None or state[4] == state[5]:
-        return 0  # above the pivot level, or on the pivot
-    below, above = state[4], state[5]
+    if below == above:
+        return 0  # on the pivot
     cross = 2 * below - above if below < above else 2 * above - below
     return cross if cross > 0 else 1 if cross == 0 else 0
 
@@ -194,32 +219,36 @@ def interval_form_value_real(k: int, x: float) -> float:
     :func:`interval_form_value`; the result is count / q, correctly
     rounded, so it equals ``float(interval_form_value(k, Fraction(y)))``.
     Raises :class:`AmbiguousBreakpointError` when x sits within a few ulps
-    of a breakpoint without being exactly on it.
+    of a breakpoint without being exactly on it, and
+    :class:`NotRationalError` when x is a bool or not a real number.
     """
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise NotRationalError(f"expected a real number, got {type(x).__name__} {x!r}")
     if not 0.0 < x < 1.0:
         raise ValueError(f"x must lie strictly inside (0, 1), got {x!r}")
     y = min(x, 1.0 - x)
     p, q = y.as_integer_ratio()
     state = next(_walk((_degree(k),), p, q))
-    if state is not None:
-        # The walk closes in on y from both sides, so the nearest node it
-        # compared against is one of these five; b > 1 skips the seeds.
-        a, b, c, d = state[:4]
-        nodes = (
-            (a, b), (c, d), (a + c, b + d),  # the pivot's parents, the pivot
-            (2 * a + c, 2 * b + d), (a + 2 * c, b + 2 * d),  # its children
+    if state is None:
+        return 0.0  # above the pivot level
+    a, b, c, d, below, above = state
+    # The walk closes in on y from both sides, so the nearest node it
+    # compared against is one of these five; b > 1 skips the seeds.
+    nodes = (
+        (a, b), (c, d), (a + c, b + d),  # the pivot's parents, the pivot
+        (2 * a + c, 2 * b + d), (a + 2 * c, b + 2 * d),  # its children
+    )
+    gaps = [
+        Fraction(abs(p * b - q * a), q * b)
+        for a, b in nodes
+        if b > 1 and p * b != q * a
+    ]
+    if gaps and min(gaps) < BREAKPOINT_EPS:
+        raise AmbiguousBreakpointError(
+            f"{x!r} lies within {float(min(gaps)):.3g} of a tree breakpoint; "
+            "the side of the linear piece is ambiguous at this precision"
         )
-        gaps = [
-            Fraction(abs(p * b - q * a), q * b)
-            for a, b in nodes
-            if b > 1 and p * b != q * a
-        ]
-        if gaps and min(gaps) < BREAKPOINT_EPS:
-            raise AmbiguousBreakpointError(
-                f"{x!r} lies within {float(min(gaps)):.3g} of a tree breakpoint; "
-                "the side of the linear piece is ambiguous at this precision"
-            )
-    return _count_at(state) / q
+    return _count_at(below, above) / q
 
 
 def interval_form_distribution(x: Fraction) -> DegreeDistribution:
@@ -297,11 +326,12 @@ def sweep(
 
     Yields one row group (p, q, rows) per x = p/q, ascending in x.  ``rows``
     is a fresh list of (k, thm1_count, thm2_count, oracle_count), ascending
-    in k, one row per distinct degree; each count is P(k, x)·q.  The
-    fractions and the oracle column come from the in-order tree walk of
-    :func:`iter_identified_counts`, which performs the explicit graph
-    construction once per fraction; for each x, the continued-fraction
-    form is evaluated once and the interval form makes one descent for all
+    in k, one row per distinct degree; each count is P(k, x)·q.  Each route
+    computes only the swept degrees.  The fractions and the oracle column
+    come from the in-order concatenation walk of
+    :func:`graphs._iter_counts_at`, which keeps each graph's counts at the
+    swept degrees only; for each x, the continued-fraction form is one
+    Euclid pass, and the interval form one descent on its two gaps for all
     degrees.  The row cap counts rows, not groups, and is checked before
     any work, in time and memory of about sqrt(row_cap); with no cap the
     rows are not counted.
@@ -319,10 +349,10 @@ def sweep(
                 f"sweep would emit at least {rows} rows; the cap is {row_cap}"
             )
 
-    for p, q, from_walk in iter_identified_counts(order):
+    for p, q, from_walk in _iter_counts_at(ks, order):
         from_cf = _cf_form_counts(p, q)
         from_tree = _interval_form_counts(ks, p, q)
         yield p, q, [
-            (k, from_cf.get(k, 0), count, from_walk.get(k, 0))
-            for k, count in zip(ks, from_tree)
+            (k, from_cf.get(k, 0), count, built)
+            for k, count, built in zip(ks, from_tree, from_walk)
         ]

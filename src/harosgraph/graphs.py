@@ -11,10 +11,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from operator import add
+from typing import Iterator, Sequence
 
 from .errors import AdjacencyError, ResourceLimitError
-from .exact import _cf_terms, _unit_fraction
+from .exact import _cf_terms, _integer, _unit_fraction
 
 __all__ = [
     "BUILD_MAX_DENOMINATOR",
@@ -186,6 +187,7 @@ def iter_identified_counts(
     where the denominator passes max_denominator, which lists F_n sorted:
     every ancestor of a fraction has a smaller denominator.
     """
+    max_denominator = _integer(max_denominator, "a Farey order")
     if max_denominator < 2:
         return
     seed = {2: 1}
@@ -216,3 +218,49 @@ def iter_identified_counts(
             return
         left, right = pending.pop()
         yield left[0], left[1], dict(left[2])
+
+
+def _iter_counts_at(
+    ks: Sequence[int], max_denominator: int
+) -> Iterator[tuple[int, int, list[int]]]:
+    """:func:`iter_identified_counts` restricted to the degrees ks.
+
+    Yields (p, q, counts) in the same order, where counts[i] is the number
+    of nodes of degree ks[i] (distinct ints) in the boundary-identified
+    graph of p/q.  The same concatenation recursion, but each node carries
+    a list of len(ks) counts: merging two graphs is an element-wise sum,
+    and each of the four boundary degrees changes a count only when it is
+    one of ks, so a fraction costs O(len(ks)) whatever its level.  The
+    yielded list belongs to the walk: read it, do not change it.
+    """
+    max_denominator = _integer(max_denominator, "a Farey order")
+    if max_denominator < 2:
+        return
+    slot = {k: i for i, k in enumerate(ks)}.get
+    seed = [int(k == 2) for k in ks]
+    # The same (p, q, counts, first_degree, last_degree) graphs and
+    # ``pending`` stack as iter_identified_counts
+    left, right = (0, 1, seed, 1, 1), (1, 1, seed, 1, 1)
+    pending = []
+    while True:
+        pl, ql, cl, fl, ll = left
+        pr, qr, cr, fr, lr = right
+        q = ql + qr
+        if q <= max_denominator:
+            counts = list(map(add, cl, cr))
+            if (i := slot(fl + ll)) is not None:
+                counts[i] -= 1
+            if (i := slot(fr + lr)) is not None:
+                counts[i] -= 1
+            if (i := slot(ll + fr)) is not None:
+                counts[i] += 1
+            if (i := slot(fl + lr + 2)) is not None:
+                counts[i] += 1
+            node = (pl + pr, q, counts, fl + 1, lr + 1)
+            pending.append((node, right))
+            right = node
+            continue
+        if not pending:
+            return
+        left, right = pending.pop()
+        yield left[0], left[1], left[2]

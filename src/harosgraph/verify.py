@@ -245,6 +245,8 @@ def check_descent_recurrences(min_level: int, max_level: int) -> Tally:
     list's suffix continuants S.  Nodes above 1/2 are checked through their
     mirror, whose children are the mirrored children.
     """
+    min_level = _integer(min_level, "a tree level")
+    max_level = _integer(max_level, "a tree level")
     t = Tally("descent-recurrences")
     counts_of = functools.cache(lambda p, q: identify_boundary(build(Fraction(p, q))))
     for levels in range(min_level, max_level + 1):

@@ -254,6 +254,43 @@ class TestSweep:
                     cells[:2] + cells[3:]
                 )
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_disagreeing_rows_beside_agreeing_ones(
+        self, capsys, tmp_path, monkeypatch, fmt
+    ):
+        # agreeing rows take the one-gcd path (and in CSV a zero row the
+        # constant tail), so plant disagreements between them in one group
+        def planted(ks, order, row_cap):
+            yield 3, 8, [(5, 0, 0, 0), (6, 0, 0, 2), (7, 2, 2, 2), (8, 1, 7, 1)]
+
+        monkeypatch.setattr(cli, "sweep", planted)
+        out_file = tmp_path / f"s.{fmt}"
+        code, out, _ = run(
+            capsys, "sweep", "--k", "5,6,7,8", "--order", "8",
+            "--out", str(out_file), "--format", fmt,
+        )
+        assert code == 0
+        # the worst row is (8, 1, 7, 1): 6/8 apart
+        assert out == (f"wrote 4 rows to {out_file}; "
+                       "max cross-method discrepancy: 3/4\n")
+        expected = [
+            "3,8,0.375,5,0,1,0,1,0,1",
+            "3,8,0.375,6,0,1,0,1,1,4",
+            "3,8,0.375,7,1,4,1,4,1,4",
+            "3,8,0.375,8,1,8,7,8,1,8",
+        ]
+        if fmt == "csv":
+            assert out_file.read_text().splitlines() == [SWEEP_CSV_HEADER] + expected
+        else:
+            records = json.loads(out_file.read_text())
+            assert [list(r) for r in records] == [SWEEP_CSV_HEADER.split(",")] * 4
+            for record, line in zip(records, expected):
+                cells = line.split(",")
+                assert record["x_float"] == 0.375
+                assert [str(v) for k, v in record.items() if k != "x_float"] == (
+                    cells[:2] + cells[3:]
+                )
+
     def test_empty_order_one(self, capsys, tmp_path):
         out_file = tmp_path / "s.csv"
         code, out, _ = run(

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from harosgraph.distribution import (
     DegreeDistribution,
     _cf_form_counts,
+    _count_at,
     _interval_form_counts,
     cf_form_distribution,
     degree_distribution_oracle,
@@ -28,7 +29,13 @@ from harosgraph.errors import (
     ResourceLimitError,
 )
 from harosgraph.exact import cf_expand, suffix_continuants
-from harosgraph.graphs import build, identify_boundary, initial_graph
+from harosgraph.graphs import (
+    _iter_counts_at,
+    build,
+    identify_boundary,
+    initial_graph,
+    iter_identified_counts,
+)
 from harosgraph.tree import (
     BracketSide,
     farey_parents,
@@ -37,10 +44,15 @@ from harosgraph.tree import (
     locate_for_degree,
     mediant,
     symbolic_path,
+    _walk,
     tree_children,
     tree_level,
 )
-from harosgraph.verify import check_piecewise_linearity, run_verification
+from harosgraph.verify import (
+    check_descent_recurrences,
+    check_piecewise_linearity,
+    run_verification,
+)
 from test_tree import fibonacci_ratios, stepwise_brackets
 
 
@@ -182,13 +194,22 @@ DEGREE_INPUT_ENTRY_POINTS = {
     "sweep(k)": lambda k: list(sweep([k], 4)),
 }
 BAD_INPUT_ENTRY_POINTS = {**UNIT_INPUT_ENTRY_POINTS, **DEGREE_INPUT_ENTRY_POINTS}
+NON_RATIONAL = [0.4, True, "2/5", None]
+# The one float entry point takes 0.4 but no bool or non-number: (5, True)
+# used to be taken as 1.0, and (5, "2/5") raised a bare TypeError
+FLOAT_INPUT_ENTRY_POINTS = {
+    "interval_form_value_real(x)": partial(interval_form_value_real, 5),
+}
 
 
-@pytest.mark.parametrize("bad", [0.4, True, "2/5", None])
-@pytest.mark.parametrize("name", sorted(BAD_INPUT_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "name, bad",
+    [(name, bad) for name in sorted(BAD_INPUT_ENTRY_POINTS) for bad in NON_RATIONAL]
+    + [(name, bad) for name in FLOAT_INPUT_ENTRY_POINTS for bad in NON_RATIONAL[1:]],
+)
 def test_non_rational_input_is_a_package_type_error(name, bad):
     with pytest.raises(NotRationalError) as info:
-        BAD_INPUT_ENTRY_POINTS[name](bad)
+        {**BAD_INPUT_ENTRY_POINTS, **FLOAT_INPUT_ENTRY_POINTS}[name](bad)
     assert isinstance(info.value, HarosError)
     assert isinstance(info.value, TypeError)
 
@@ -207,9 +228,11 @@ def test_degree_below_five_is_a_value_error(name):
         DEGREE_INPUT_ENTRY_POINTS[name](4)
 
 
-# Each used to slip through or die inside: iter_farey_pairs(3.5) yielded
-# float pairs, the sweep and its row count raised a bare TypeError,
-# tree_level(3.0) gave TreeLevel(index=3.0, ...), mediant an AttributeError
+# Each used to slip through or die inside: iter_farey_pairs(3.5) and
+# iter_identified_counts(3.5) yielded, the sweep, its row count,
+# iter_identified_counts("a") and check_descent_recurrences(3, 4.0) raised a
+# bare TypeError, tree_level(3.0) gave TreeLevel(index=3.0, ...), mediant an
+# AttributeError
 @pytest.mark.parametrize(
     "call",
     [
@@ -226,6 +249,11 @@ def test_degree_below_five_is_a_value_error(name):
         lambda: run_verification("corollary", order=20.0),
         lambda: check_piecewise_linearity(20.0),
         lambda: run_verification("recurrences", levels=4.0),
+        lambda: list(iter_identified_counts(3.5)),
+        lambda: list(iter_identified_counts("a")),
+        lambda: list(_iter_counts_at([5], 3.5)),
+        lambda: check_descent_recurrences(3, 4.0),
+        lambda: check_descent_recurrences(True, 4),
     ],
     ids=[
         "iter_farey_pairs(3.5)", "iter_farey_pairs(True)",
@@ -235,6 +263,9 @@ def test_degree_below_five_is_a_value_error(name):
         "mediant(0.5, 1)", "mediant(0, 1.0)",
         "run_verification(order=20.0)", "check_piecewise_linearity(20.0)",
         "run_verification(levels=4.0)",
+        "iter_identified_counts(3.5)", "iter_identified_counts('a')",
+        "_iter_counts_at(3.5)",
+        "check_descent_recurrences(3, 4.0)", "check_descent_recurrences(True, 4)",
     ],
 )
 def test_bad_order_level_or_mediant_input_is_a_package_type_error(call):
@@ -369,6 +400,38 @@ class TestIntervalFormCounts:
         for p, q in fibonacci_ratios(10**5):
             self.assert_matches_stepwise(p, q)
             self.assert_matches_stepwise(q - p, q)
+
+    def assert_matches_walk(self, p, q):
+        # one degree past the level, so the last one is too shallow
+        y = min(p, q - p)
+        ks = range(5, level_index(Fraction(p, q)) + 5)
+        by_walk = [
+            0 if state is None else _count_at(state[4], state[5])
+            for state in _walk(ks, y, q)
+        ]
+        assert _interval_form_counts(ks, p, q) == by_walk, (p, q)
+
+    def test_matches_walk_states_f150(self):
+        for p, q in iter_farey_pairs(150):
+            if 0 < p < q:
+                self.assert_matches_walk(p, q)
+
+    @pytest.mark.parametrize("e", [10, 11, 12, 13])
+    def test_matches_walk_states_one_term(self, e):
+        self.assert_matches_walk(1, 2**e)
+        self.assert_matches_walk(2**e - 1, 2**e)
+
+    def test_matches_walk_states_fibonacci(self):
+        for p, q in fibonacci_ratios(10**5):
+            self.assert_matches_walk(p, q)
+            self.assert_matches_walk(q - p, q)
+
+    def test_too_shallow_degrees_count_zero(self):
+        # 1/4 = [4] sits on level 4 and has one node above degree 3, its
+        # boundary of degree 6; pivot level 4 (k = 7) is 1/4 itself, and
+        # every deeper pivot level is past it
+        assert _interval_form_counts([5, 6, 7, 8, 40], 1, 4) == [0, 1, 0, 0, 0]
+        assert _interval_form_counts([9, 30], 1, 4) == [0, 0]
 
     def test_subsets_of_degrees_share_the_walk(self):
         # skipping degrees must not change the ones asked for

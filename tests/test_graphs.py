@@ -10,6 +10,7 @@ from harosgraph.distribution import cf_form_distribution
 from harosgraph.errors import AdjacencyError, ResourceLimitError
 from harosgraph.graphs import (
     HarosGraph,
+    _iter_counts_at,
     build,
     concat,
     identify_boundary,
@@ -214,6 +215,27 @@ class TestIdentifiedCountsWalk:
     def test_yields_the_interior_of_farey_in_order(self, n):
         walked = [(p, q) for p, q, _ in iter_identified_counts(n)]
         assert walked == [(p, q) for p, q in iter_farey_pairs(n) if 0 < p < q]
+
+
+class TestCountsAtDegrees:
+    """The walk that keeps only the swept degrees, against the full one."""
+
+    # (5, 9, 13, 40) and (6, 30) leave gaps between the degrees, and 40 and
+    # 30 lie past most boundaries at these orders
+    @pytest.mark.parametrize("ks", [(5,), (5, 6, 7, 8), (5, 9, 13, 40), (6, 30)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 60, 200])
+    def test_matches_the_full_walk_restricted(self, n, ks):
+        restricted = [
+            (p, q, [counts.get(k, 0) for k in ks])
+            for p, q, counts in iter_identified_counts(n)
+        ]
+        assert [(p, q, list(c)) for p, q, c in _iter_counts_at(ks, n)] == restricted
+
+    def test_low_degrees_follow_the_seeds(self):
+        # degree 2 is where the seed counts start, so it is kept too
+        for p, q, (twos, threes) in _iter_counts_at((2, 3), 40):
+            low = min(p, q - p)
+            assert (twos, threes) == (low, q - 2 * low), (p, q)
 
 
 def test_haros_graph_is_hashable_value():

@@ -124,7 +124,7 @@ class TestPlantedBugs:
     def test_triple_catches_interval_form(self, monkeypatch):
         plant(
             monkeypatch, harosgraph.distribution, "_count_at",
-            lambda real: lambda state: real(state) + 1,
+            lambda real: lambda below, above: real(below, above) + 1,
         )
         t = check_triple_equality(20)
         assert (t.passed, t.failed) == (127, 959)
