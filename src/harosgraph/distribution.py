@@ -40,7 +40,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .errors import AmbiguousBreakpointError, NotRationalError, ResourceLimitError
 from .exact import _cf_terms, _degree, _integer, _unit_fraction
-from .graphs import _iter_counts_at, build, identify_boundary
+from .graphs import build, identify_boundary, iter_identified_counts
 from .tree import _walk
 
 __all__ = [
@@ -66,13 +66,18 @@ class DegreeDistribution:
     inside the unit interval the counts are positive and sum to q; the
     endpoints carry an empty map.  ``counts`` is a read-only copy of the
     map passed in, and ``entries`` gives the same data as a read-only map
-    degree -> :class:`~fractions.Fraction`.
+    degree -> :class:`~fractions.Fraction`.  The denominator is an int
+    >= 1: anything else raises :class:`NotRationalError` or ValueError.
     """
 
     counts: Mapping[int, int]
     denominator: int
 
     def __post_init__(self) -> None:
+        q = _integer(self.denominator, "a denominator")
+        if q < 1:
+            raise ValueError(f"the denominator must be >= 1, got {q}")
+        object.__setattr__(self, "denominator", q)
         object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
 
     @property
@@ -157,13 +162,14 @@ def _interval_form_counts(ks: Sequence[int], p: int, q: int) -> list[int]:
     callers check their degrees (the public ones through
     :func:`exact._degree`).  p/q > 1/2 is mirrored first.  This is the
     descent of :func:`tree._walk` on its two gaps alone, below = p·b - q·a
-    and above = q·c - p·d against the current Farey parents a/b < p/q < c/d:
-    each L or R run is one step of Euclid's algorithm on the gaps, cut short
-    at the pivot level k - 3 of the next degree, where :func:`_count_at`
-    reads the count off the gaps.  Equal gaps with levels still to go mean
-    p/q lies above that pivot level, so this degree and every later one
-    count 0 and the loop stops.  One descent serves every degree, so the
-    cost is O(m + len(ks)) for p/q = [a_1, ..., a_m].
+    and above = q·c - p·d against the current Farey parents a/b < p/q < c/d,
+    resumed from one degree to the next: each L or R run is one step of
+    Euclid's algorithm on the gaps, cut short at the pivot level k - 3 of
+    the next degree, where :func:`_count_at` reads the count off the gaps.
+    Equal gaps with levels still to go mean p/q lies above that pivot
+    level, so this degree and every later one count 0 and the loop stops.
+    One descent serves every degree, so the cost is O(m + len(ks)) for
+    p/q = [a_1, ..., a_m].
     """
     if 2 * p > q:
         p = q - p
@@ -228,7 +234,7 @@ def interval_form_value_real(k: int, x: float) -> float:
         raise ValueError(f"x must lie strictly inside (0, 1), got {x!r}")
     y = min(x, 1.0 - x)
     p, q = y.as_integer_ratio()
-    state = next(_walk((_degree(k),), p, q))
+    state = _walk(_degree(k), p, q)
     if state is None:
         return 0.0  # above the pivot level
     a, b, c, d, below, above = state
@@ -290,13 +296,14 @@ def sweep_row_count(
 ) -> int:
     """Number of rows a sweep will emit: interior fractions times degrees.
 
-    With a cap, counting stops once the count passes it, and that partial
-    count (already above the cap) is returned.  The totient sieve starts
-    near sqrt(cap) and doubles, so it never reaches much past
+    The degrees are checked as :func:`sweep` checks them, and duplicates
+    count once.  With a cap, counting stops once the count passes it, and
+    that partial count (already above the cap) is returned.  The totient
+    sieve starts near sqrt(cap) and doubles, so it never reaches much past
     2·sqrt(cap), however large ``order`` is.
     """
     order = _integer(order, "a Farey order")
-    per_x = len(set(degrees))
+    per_x = len({_degree(k) for k in degrees})
     if not per_x:
         return 0  # with a cap, doubling would otherwise run up to ``order``
     limit = order if cap is None else min(order, isqrt(max(cap, 0)) + 2)
@@ -328,13 +335,13 @@ def sweep(
     is a fresh list of (k, thm1_count, thm2_count, oracle_count), ascending
     in k, one row per distinct degree; each count is P(k, x)·q.  Each route
     computes only the swept degrees.  The fractions and the oracle column
-    come from the in-order concatenation walk of
-    :func:`graphs._iter_counts_at`, which keeps each graph's counts at the
-    swept degrees only; for each x, the continued-fraction form is one
-    Euclid pass, and the interval form one descent on its two gaps for all
-    degrees.  The row cap counts rows, not groups, and is checked before
-    any work, in time and memory of about sqrt(row_cap); with no cap the
-    rows are not counted.
+    come from the in-order concatenation walk
+    :func:`graphs.iter_identified_counts`, which keeps each graph's counts
+    at the swept degrees only, O(number of degrees) per x; for each x, the
+    continued-fraction form is one Euclid pass, and the interval form one
+    descent on its two gaps for all degrees.  The row cap counts rows, not
+    groups, and is checked before any work, in time and memory of about
+    sqrt(row_cap); with no cap the rows are not counted.
     """
     ks = sorted({_degree(k) for k in degrees})
     if not ks:
@@ -349,7 +356,7 @@ def sweep(
                 f"sweep would emit at least {rows} rows; the cap is {row_cap}"
             )
 
-    for p, q, from_walk in _iter_counts_at(ks, order):
+    for p, q, from_walk in iter_identified_counts(ks, order):
         from_cf = _cf_form_counts(p, q)
         from_tree = _interval_form_counts(ks, p, q)
         yield p, q, [

@@ -168,78 +168,36 @@ def identify_boundary(g: HarosGraph) -> dict[int, int]:
 
 
 def iter_identified_counts(
-    max_denominator: int,
-) -> Iterator[tuple[int, int, dict[int, int]]]:
+    degrees: Sequence[int], max_denominator: int
+) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """Walk every Haros graph with label denominator <= max_denominator.
 
     Yields (p, q, counts) for every p/q strictly inside (0, 1), ascending,
-    where counts is a fresh dict equal to what :func:`identify_boundary`
-    returns for the graph labelled p/q (the same degree -> count map, in no
-    particular degree order).  The walk runs the same concatenation
-    recursion as :func:`build` but keeps, for each graph, only its
-    boundary-identified counts and its two extreme degrees, so sweeping a
-    whole Farey sequence costs O(1) dictionary work per fraction instead of
-    O(q).  Concatenating graphs with extreme degrees (fl, ll) and (fr, lr)
-    merges their counts, drops their two boundary nodes, of degrees fl + ll
-    and fr + lr, and adds the merged middle node, ll + fr, and the new
-    boundary node, fl + lr + 2; each seed counts as {2: 1}.  The walk visits
-    the Farey tree in order (left subtree, node, right subtree), pruned
-    where the denominator passes max_denominator, which lists F_n sorted:
-    every ancestor of a fraction has a smaller denominator.
+    where the tuple counts holds, for each of the distinct int degrees, its
+    count in ``identify_boundary(build(p/q))`` (0 where no node has it);
+    degrees ``range(2, n + 3)`` cover all of F_n.  The walk runs the
+    concatenation recursion of :func:`build` on each graph's counts and two
+    extreme degrees alone, so a fraction costs O(len(degrees)), not O(q):
+    concatenating graphs with extreme degrees (fl, ll) and (fr, lr) sums
+    their counts, drops their boundary nodes, of degrees fl + ll and
+    fr + lr, and adds the merged middle node, ll + fr, and the new boundary
+    node, fl + lr + 2; each seed has one node of degree 2.  The Farey tree
+    is visited in order (left subtree, node, right subtree), pruned where
+    the denominator passes max_denominator, which lists F_n sorted: every
+    ancestor of a fraction has a smaller denominator.
     """
+    ks = [_integer(k, "a degree") for k in degrees]
     max_denominator = _integer(max_denominator, "a Farey order")
+    index = {k: i for i, k in enumerate(ks)}
+    if len(index) != len(ks):
+        raise ValueError(f"degrees must be distinct, got {ks}")
+    slot = index.get
     if max_denominator < 2:
         return
-    seed = {2: 1}
+    seed = tuple(int(k == 2) for k in ks)
     # A graph is (p, q, counts, first_degree, last_degree); ``pending``
     # holds each node whose left subtree is being walked, with its right
-    # neighbour.
-    left, right = (0, 1, seed, 1, 1), (1, 1, seed, 1, 1)
-    pending = []
-    while True:
-        pl, ql, cl, fl, ll = left
-        pr, qr, cr, fr, lr = right
-        q = ql + qr
-        if q <= max_denominator:
-            counts = dict(cl)
-            for degree, multiplicity in cr.items():
-                counts[degree] = counts.get(degree, 0) + multiplicity
-            for degree in (fl + ll, fr + lr):
-                counts[degree] -= 1
-                if not counts[degree]:
-                    del counts[degree]
-            for degree in (ll + fr, fl + lr + 2):
-                counts[degree] = counts.get(degree, 0) + 1
-            node = (pl + pr, q, counts, fl + 1, lr + 1)
-            pending.append((node, right))
-            right = node
-            continue
-        if not pending:
-            return
-        left, right = pending.pop()
-        yield left[0], left[1], dict(left[2])
-
-
-def _iter_counts_at(
-    ks: Sequence[int], max_denominator: int
-) -> Iterator[tuple[int, int, list[int]]]:
-    """:func:`iter_identified_counts` restricted to the degrees ks.
-
-    Yields (p, q, counts) in the same order, where counts[i] is the number
-    of nodes of degree ks[i] (distinct ints) in the boundary-identified
-    graph of p/q.  The same concatenation recursion, but each node carries
-    a list of len(ks) counts: merging two graphs is an element-wise sum,
-    and each of the four boundary degrees changes a count only when it is
-    one of ks, so a fraction costs O(len(ks)) whatever its level.  The
-    yielded list belongs to the walk: read it, do not change it.
-    """
-    max_denominator = _integer(max_denominator, "a Farey order")
-    if max_denominator < 2:
-        return
-    slot = {k: i for i, k in enumerate(ks)}.get
-    seed = [int(k == 2) for k in ks]
-    # The same (p, q, counts, first_degree, last_degree) graphs and
-    # ``pending`` stack as iter_identified_counts
+    # neighbour.  Nodes share their counts with the walk, hence tuples.
     left, right = (0, 1, seed, 1, 1), (1, 1, seed, 1, 1)
     pending = []
     while True:
@@ -256,7 +214,7 @@ def _iter_counts_at(
                 counts[i] += 1
             if (i := slot(fl + lr + 2)) is not None:
                 counts[i] += 1
-            node = (pl + pr, q, counts, fl + 1, lr + 1)
+            node = (pl + pr, q, tuple(counts), fl + 1, lr + 1)
             pending.append((node, right))
             right = node
             continue

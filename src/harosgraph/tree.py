@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import AdjacencyError, ResourceLimitError
 from .exact import _cf_terms, _degree, _integer, _unit_fraction
@@ -19,6 +19,7 @@ from .exact import _cf_terms, _degree, _integer, _unit_fraction
 __all__ = [
     "LEFT",
     "RIGHT",
+    "MAX_CF_WORD_STEPS",
     "MAX_TREE_LEVEL",
     "BracketSide",
     "EnclosingBracket",
@@ -43,6 +44,9 @@ RIGHT = "R"
 # one step per continued-fraction term: O(m) for x = [a_1, ..., a_m].
 MAX_TREE_LEVEL = 20
 
+# A descent word is spelled one letter per step; longer words are refused.
+MAX_CF_WORD_STEPS = 10**6
+
 
 @dataclass(frozen=True)
 class SymbolicPath:
@@ -50,13 +54,21 @@ class SymbolicPath:
 
     Runs alternate strictly between L and R.  For a fraction with canonical
     terms [a_1, ..., a_m] the run lengths are a_1, ..., a_{m-1}, a_m - 1.
-    ``steps`` is the word's length, an int of any size.
+    ``steps`` is the word's length, an int of any size; ``word`` spells it
+    out, and raises :class:`ResourceLimitError` above
+    :data:`MAX_CF_WORD_STEPS` steps.
     """
 
     runs: tuple[tuple[str, int], ...]
 
     @property
     def word(self) -> str:
+        if self.steps > MAX_CF_WORD_STEPS:
+            raise ResourceLimitError(
+                f"the descent word has {self.steps} steps; the cap is "
+                f"{MAX_CF_WORD_STEPS} (its runs are the terms with the last one "
+                "less one)"
+            )
         return "".join(symbol * count for symbol, count in self.runs)
 
     @property
@@ -267,7 +279,7 @@ def locate_for_degree(k: int, x: Fraction) -> EnclosingBracket:
     level the side is ELSEWHERE and the three fractions are None.
     """
     x = _unit_fraction(x, open=True)
-    state = next(_walk((_degree(k),), x.numerator, x.denominator))
+    state = _walk(_degree(k), x.numerator, x.denominator)
     if state is None:
         return EnclosingBracket(None, None, None, BracketSide.ELSEWHERE)
     a, b, c, d, below, above = state
@@ -294,45 +306,38 @@ def locate_for_degree(k: int, x: Fraction) -> EnclosingBracket:
     )
 
 
-def _walk(ks: Iterable[int], p: int, q: int) -> Iterator[tuple[int, ...] | None]:
-    """Integer-pair descent towards p/q, 0 < p/q < 1, for ascending degrees.
+def _walk(k: int, p: int, q: int) -> tuple[int, int, int, int, int, int] | None:
+    """Integer-pair descent towards p/q, 0 < p/q < 1, for the degree k.
 
-    For each degree k of ks (an int >= 5: the walk trusts its caller, and the
-    public entry points check their degrees) the walk goes on from
-    where the last degree left it, down to the pivot level k - 3, one L or
-    R run at a time: the length of a run is a floor division of two
-    cross-products of p/q with the current Farey parents.  It yields
+    For an int k >= 5 (the walk trusts its caller, and the public entry
+    points check their degrees) the walk goes down to the pivot level k - 3,
+    one L or R run at a time: the length of a run is a floor division of two
+    cross-products of p/q with the current Farey parents.  It returns
     (a, b, c, d, below, above): the pivot's Farey parents a/b < p/q < c/d,
     the last nodes the walk compared against from below and above (or the
     seeds 0/1 and 1/1, which are never compared), with the gaps
     below = p·b - q·a and above = q·c - p·d.  Hitting p/q above the pivot
-    level means it is too shallow for this degree and every later one:
-    those get None.  The whole walk costs O(m + len(ks)) for
-    p/q = [a_1, ..., a_m].
+    level means it is too shallow for this degree: the walk returns None.
+    It costs O(m) for p/q = [a_1, ..., a_m].
     """
     a, b, c, d = 0, 1, 1, 1
     below, above = p, q - p
-    walked = 5
-    for k in ks:
-        steps = k - walked
-        # Both gaps stay positive.  The node after an L run of j is
-        # (j*a + c)/(j*b + d), still above p/q while j*below < above; an R
-        # run mirrors that.  Each run is one step of Euclid's algorithm on
-        # the gaps, so a walk takes one iteration per continued-fraction
-        # term.  Equal gaps mean the next node is p/q itself.
-        while steps and below != above:
-            if above > below:
-                run = min((above - 1) // below, steps)
-                c, d = c + run * a, d + run * b
-                above -= run * below
-            else:
-                run = min((below - 1) // above, steps)
-                a, b = a + run * c, b + run * d
-                below -= run * above
-            steps -= run
-        if steps:
-            yield None
+    steps = k - 5
+    # Both gaps stay positive.  The node after an L run of j is
+    # (j*a + c)/(j*b + d), still above p/q while j*below < above; an R run
+    # mirrors that.  Each run is one step of Euclid's algorithm on the gaps,
+    # so a walk takes one iteration per continued-fraction term.  Equal gaps
+    # mean the next node is p/q itself.
+    while steps and below != above:
+        if above > below:
+            run = min((above - 1) // below, steps)
+            c, d = c + run * a, d + run * b
+            above -= run * below
         else:
-            walked = k
-            yield a, b, c, d, below, above
-
+            run = min((below - 1) // above, steps)
+            a, b = a + run * c, b + run * d
+            below -= run * above
+        steps -= run
+    if steps:
+        return None
+    return a, b, c, d, below, above

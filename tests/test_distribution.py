@@ -30,7 +30,6 @@ from harosgraph.errors import (
 )
 from harosgraph.exact import cf_expand, suffix_continuants
 from harosgraph.graphs import (
-    _iter_counts_at,
     build,
     identify_boundary,
     initial_graph,
@@ -192,6 +191,7 @@ DEGREE_INPUT_ENTRY_POINTS = {
     "interval_form_value_real(k)": lambda k: interval_form_value_real(k, 0.3),
     "locate_for_degree(k)": lambda k: locate_for_degree(k, Fraction(2, 7)),
     "sweep(k)": lambda k: list(sweep([k], 4)),
+    "sweep_row_count(k)": lambda k: sweep_row_count([k], 10),
 }
 BAD_INPUT_ENTRY_POINTS = {**UNIT_INPUT_ENTRY_POINTS, **DEGREE_INPUT_ENTRY_POINTS}
 NON_RATIONAL = [0.4, True, "2/5", None]
@@ -232,7 +232,7 @@ def test_degree_below_five_is_a_value_error(name):
 # iter_identified_counts(3.5) yielded, the sweep, its row count,
 # iter_identified_counts("a") and check_descent_recurrences(3, 4.0) raised a
 # bare TypeError, tree_level(3.0) gave TreeLevel(index=3.0, ...), mediant an
-# AttributeError
+# AttributeError, a float denominator made a DegreeDistribution
 @pytest.mark.parametrize(
     "call",
     [
@@ -249,9 +249,11 @@ def test_degree_below_five_is_a_value_error(name):
         lambda: run_verification("corollary", order=20.0),
         lambda: check_piecewise_linearity(20.0),
         lambda: run_verification("recurrences", levels=4.0),
-        lambda: list(iter_identified_counts(3.5)),
-        lambda: list(iter_identified_counts("a")),
-        lambda: list(_iter_counts_at([5], 3.5)),
+        lambda: list(iter_identified_counts([5], 3.5)),
+        lambda: list(iter_identified_counts([5], "a")),
+        lambda: list(iter_identified_counts([5.0], 10)),
+        lambda: DegreeDistribution({}, 2.0),
+        lambda: DegreeDistribution({}, True),
         lambda: check_descent_recurrences(3, 4.0),
         lambda: check_descent_recurrences(True, 4),
     ],
@@ -264,12 +266,34 @@ def test_degree_below_five_is_a_value_error(name):
         "run_verification(order=20.0)", "check_piecewise_linearity(20.0)",
         "run_verification(levels=4.0)",
         "iter_identified_counts(3.5)", "iter_identified_counts('a')",
-        "_iter_counts_at(3.5)",
+        "iter_identified_counts([5.0])",
+        "DegreeDistribution(2.0)", "DegreeDistribution(True)",
         "check_descent_recurrences(3, 4.0)", "check_descent_recurrences(True, 4)",
     ],
 )
 def test_bad_order_level_or_mediant_input_is_a_package_type_error(call):
     with pytest.raises(NotRationalError):
+        call()
+
+
+# A zero denominator used to build a distribution whose probability(2) and
+# total() raised ZeroDivisionError; a repeated degree would have lost its
+# walk slot
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: DegreeDistribution({}, 0),
+        lambda: DegreeDistribution({2: 1}, -2),
+        lambda: list(iter_identified_counts([5, 6, 5], 10)),
+        lambda: list(iter_identified_counts([2, 2], 1)),
+    ],
+    ids=[
+        "DegreeDistribution(0)", "DegreeDistribution(-2)",
+        "iter_identified_counts([5, 6, 5])", "iter_identified_counts([2, 2], 1)",
+    ],
+)
+def test_out_of_range_denominator_or_repeated_degree_is_a_value_error(call):
+    with pytest.raises(ValueError):
         call()
 
 
@@ -407,7 +431,7 @@ class TestIntervalFormCounts:
         ks = range(5, level_index(Fraction(p, q)) + 5)
         by_walk = [
             0 if state is None else _count_at(state[4], state[5])
-            for state in _walk(ks, y, q)
+            for state in (_walk(k, y, q) for k in ks)
         ]
         assert _interval_form_counts(ks, p, q) == by_walk, (p, q)
 

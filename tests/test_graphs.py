@@ -10,7 +10,6 @@ from harosgraph.distribution import cf_form_distribution
 from harosgraph.errors import AdjacencyError, ResourceLimitError
 from harosgraph.graphs import (
     HarosGraph,
-    _iter_counts_at,
     build,
     concat,
     identify_boundary,
@@ -191,49 +190,62 @@ class TestIdentifyBoundary:
 
 class TestIdentifiedCountsWalk:
     def test_matches_per_fraction_builds(self):
-        walked = {(p, q): c for p, q, c in iter_identified_counts(60)}
+        # every degree of F_60, each compared with the build, zeros included
+        n = 60
+        degrees = range(2, n + 3)
+        walked = {(p, q): c for p, q, c in iter_identified_counts(degrees, n)}
         expected_keys = {
-            (p, q) for p, q in iter_farey_pairs(60) if p not in (0, q)
+            (p, q) for p, q in iter_farey_pairs(n) if p not in (0, q)
         }
         assert set(walked) == expected_keys
         for p, q in sorted(expected_keys):
             counts = identify_boundary(build(Fraction(p, q)))
-            assert walked[p, q] == counts, f"walker differs at {p}/{q}"
+            assert set(counts) <= set(degrees), f"degree out of range at {p}/{q}"
+            assert walked[p, q] == tuple(counts.get(k, 0) for k in degrees), (
+                f"walker differs at {p}/{q}"
+            )
+            assert sum(walked[p, q]) == q, f"counts do not sum to q at {p}/{q}"
             assert list(counts) == sorted(counts), f"degrees not ascending at {p}/{q}"
 
-    def test_yields_fresh_dicts(self):
-        # each node's counts feed its children, so a caller editing a
-        # yielded dict must not change the fractions that follow
-        for p, q, counts in iter_identified_counts(30):
-            assert counts == identify_boundary(build(Fraction(p, q)))
-            counts.clear()
+    def test_yields_tuples(self):
+        # each node's counts feed its children, so a caller must not get a
+        # list it could edit under the fractions that follow
+        walked = iter_identified_counts(range(2, 33), 30)
+        assert all(type(counts) is tuple for _, _, counts in walked)
 
     def test_empty_below_two(self):
-        assert list(iter_identified_counts(1)) == []
+        assert list(iter_identified_counts([2, 5], 1)) == []
 
     @pytest.mark.parametrize("n", [2, 3, 10, 60, 200])
     def test_yields_the_interior_of_farey_in_order(self, n):
-        walked = [(p, q) for p, q, _ in iter_identified_counts(n)]
+        walked = [(p, q) for p, q, _ in iter_identified_counts([5], n)]
         assert walked == [(p, q) for p, q in iter_farey_pairs(n) if 0 < p < q]
+
+    def test_no_degrees_yields_empty_counts(self):
+        assert [c for _, _, c in iter_identified_counts([], 5)] == [()] * 9
 
 
 class TestCountsAtDegrees:
-    """The walk that keeps only the swept degrees, against the full one."""
+    """The walk at chosen degrees, against explicit builds."""
 
     # (5, 9, 13, 40) and (6, 30) leave gaps between the degrees, and 40 and
-    # 30 lie past most boundaries at these orders
-    @pytest.mark.parametrize("ks", [(5,), (5, 6, 7, 8), (5, 9, 13, 40), (6, 30)])
+    # 30 lie past most boundaries at these orders; 2 and 3 are where the
+    # seed counts start; (8, 5, 7, 6) is not sorted
+    @pytest.mark.parametrize(
+        "ks", [(5,), (5, 6, 7, 8), (5, 9, 13, 40), (6, 30), (2, 3), (8, 5, 7, 6)]
+    )
     @pytest.mark.parametrize("n", [1, 2, 3, 60, 200])
-    def test_matches_the_full_walk_restricted(self, n, ks):
-        restricted = [
-            (p, q, [counts.get(k, 0) for k in ks])
-            for p, q, counts in iter_identified_counts(n)
+    def test_matches_builds(self, n, ks):
+        built = [
+            (p, q, tuple(identify_boundary(build(Fraction(p, q))).get(k, 0) for k in ks))
+            for p, q in iter_farey_pairs(n)
+            if 0 < p < q
         ]
-        assert [(p, q, list(c)) for p, q, c in _iter_counts_at(ks, n)] == restricted
+        assert list(iter_identified_counts(ks, n)) == built
 
     def test_low_degrees_follow_the_seeds(self):
         # degree 2 is where the seed counts start, so it is kept too
-        for p, q, (twos, threes) in _iter_counts_at((2, 3), 40):
+        for p, q, (twos, threes) in iter_identified_counts((2, 3), 40):
             low = min(p, q - p)
             assert (twos, threes) == (low, q - 2 * low), (p, q)
 

@@ -11,6 +11,7 @@ from harosgraph.errors import AdjacencyError, ResourceLimitError
 from harosgraph.exact import cf_expand, convergents
 from harosgraph.tree import (
     BracketSide,
+    MAX_CF_WORD_STEPS,
     MAX_TREE_LEVEL,
     EnclosingBracket,
     SymbolicPath,
@@ -242,6 +243,20 @@ class TestSymbolicPath:
         for y in (x, 1 - x):
             assert symbolic_path(y).steps == level_index(y) - 1 == 10**200 + 6
 
+    @pytest.mark.parametrize("q", [10**6 + 2, 10**10, 10**200 + 7])
+    def test_word_above_the_cap_is_refused(self, q):
+        # 1/(10**200 + 7) used to raise a bare OverflowError, and 1/10**10
+        # tried to build a 10 GB string
+        path = symbolic_path(Fraction(1, q))
+        with pytest.raises(ResourceLimitError, match=f"has {q - 1} steps; the cap is"):
+            path.word
+        assert path.steps == q - 1
+
+    def test_word_at_the_cap_is_spelled(self):
+        assert MAX_CF_WORD_STEPS == 10**6
+        word = symbolic_path(Fraction(1, MAX_CF_WORD_STEPS + 1)).word
+        assert word == "L" * MAX_CF_WORD_STEPS
+
     def test_has_no_len(self):
         # a path's step count can exceed any C ssize_t; it is read from .steps
         with pytest.raises(TypeError):
@@ -360,13 +375,12 @@ class TestLocateForDegree:
     def assert_matches_stepwise(self, p, q):
         x = Fraction(p, q)
         last_k = level_index(x) + 4
-        one_walk = _walk(range(5, last_k + 1), p, q)
         for k, (side, nodes) in enumerate(stepwise_brackets(p, q, last_k), start=5):
             where = f"{p}/{q} at k = {k}"
             got = locate_for_degree(k, x)
-            # the walk shared by all degrees stops at the same Farey parents,
-            # with the cross-product gaps of p/q to them
-            state = next(one_walk)
+            # the walk stops at the same Farey parents, with the
+            # cross-product gaps of p/q to them
+            state = _walk(k, p, q)
             if nodes is None:
                 assert got == EnclosingBracket(None, None, None, side), where
                 assert state is None, where
@@ -397,16 +411,22 @@ class TestLocateForDegree:
             self.assert_matches_stepwise(p, q)
 
     def test_resumed_descent_matches_fresh_one(self):
-        # a walk that went to k0 and goes on to k lands where a fresh walk
-        # to k does
+        # the interval form's descent, which went to k0 and goes on to k,
+        # lands where a fresh walk to k does
+        from harosgraph.distribution import _count_at, _interval_form_counts
+
         for p, q in iter_farey_pairs(60):
             if not 0 < p < q:
                 continue
+            y = min(p, q - p)
             last_k = level_index(Fraction(p, q)) + 4
-            fresh = {k: next(_walk((k,), p, q)) for k in range(5, last_k + 1)}
+            fresh = {}
+            for k in range(5, last_k + 1):
+                state = _walk(k, y, q)
+                fresh[k] = 0 if state is None else _count_at(state[4], state[5])
             for k0 in range(5, last_k + 1):
                 for k in range(k0, last_k + 1):
-                    _, resumed = _walk((k0, k), p, q)
+                    _, resumed = _interval_form_counts((k0, k), p, q)
                     assert resumed == fresh[k], (p, q, k0, k)
 
     def test_locates_a_bigint_at_its_own_level(self):
