@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
@@ -190,7 +191,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_dist(args: argparse.Namespace) -> int:
     x = _parse_fraction(args.fraction)
-    if x == 0 or x == 1:
+    q = x.denominator
+    if q == 1:  # 0/1 or 1/1
         print("k  P(k)")
         print("(empty distribution: P(k,0) = P(k,1) = 0 by convention)")
         return EXIT_OK
@@ -204,19 +206,20 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         columns["thm2"] = interval_form_distribution(x)
     if method in ("oracle", "all"):
         columns["oracle"] = degree_distribution_oracle(x)
-    degrees = sorted(set().union(*(dist.counts for dist in columns.values())))
-    names = list(columns)
+    # every route counts nodes over the same q = x.denominator
+    counts = [dist.counts for dist in columns.values()]
     mismatch = False
-    print("  ".join(["k"] + names + (["match"] if method == "all" else [])))
-    for k in degrees:
-        cells = [str(k)]
-        cells.extend(_fmt(columns[name].probability(k)) for name in names)
+    lines = ["  ".join(["k", *columns] + (["match"] if method == "all" else []))]
+    for k in sorted(set().union(*counts)):
+        row = [c.get(k, 0) for c in counts]
+        # each count over q in lowest terms, as _fmt writes a Fraction
+        cells = [str(k), *(f"{m // (g := gcd(m, q))}/{q // g}" for m in row)]
         if method == "all":
-            # every route counts nodes over the same q = x.denominator
-            agree = len({columns[name].counts.get(k, 0) for name in names}) == 1
+            agree = len(set(row)) == 1
             mismatch = mismatch or not agree
             cells.append("ok" if agree else "MISMATCH")
-        print("  ".join(cells))
+        lines.append("  ".join(cells))
+    sys.stdout.write("\n".join(lines) + "\n")
     if method == "all" and mismatch and args.strict:
         print("error: methods disagree", file=sys.stderr)
         return EXIT_STRICT_MISMATCH
@@ -297,7 +300,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_VERIFY_FAILED if manifest.checks_failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``haros`` parser, built once per process: it has no input, and a
+    parse leaves it as it was.  ``main`` finds each subcommand's handler by
+    name when it runs it, so a replaced ``_cmd_*`` takes effect."""
     parser = argparse.ArgumentParser(
         prog="haros",
         description=(
@@ -312,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cf.add_argument("fraction", help='fraction literal "p/q" in [0, 1]')
     p_cf.add_argument("--format", choices=("text", "json"), default="text")
-    p_cf.set_defaults(handler=_cmd_cf)
 
     p_build = sub.add_parser(
         "build", help="degree sequence and identified multiset of one graph"
@@ -325,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_ORACLE_CAP,
         help=f"override the build denominator cap (default {DEFAULT_ORACLE_CAP})",
     )
-    p_build.set_defaults(handler=_cmd_build)
 
     p_dist = sub.add_parser("dist", help="degree distribution table")
     p_dist.add_argument("fraction", help='fraction literal "p/q" in [0, 1]')
@@ -344,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 4 if the methods disagree (with --method all)",
     )
     p_dist.add_argument("--max-q", type=_positive_int, default=DEFAULT_ORACLE_CAP)
-    p_dist.set_defaults(handler=_cmd_dist)
 
     p_sweep = sub.add_parser(
         "sweep", help="tabulate P(k, x) over a Farey sequence, three ways"
@@ -361,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_ROW_CAP,
         help=f"row cap (default {DEFAULT_ROW_CAP})",
     )
-    p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_verify = sub.add_parser(
         "verify", help="run the exact cross-verification suites"
@@ -379,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"tree depth for the descent recurrences (max {MAX_VERIFY_LEVELS})",
     )
     p_verify.add_argument("--suite", choices=SUITES, default="all")
-    p_verify.set_defaults(handler=_cmd_verify)
     return parser
 
 
@@ -389,8 +391,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    # looked up at call time, not fixed when the cached parser was built
+    handler = globals()["_cmd_" + args.command]
     try:
-        return args.handler(args)
+        return handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -65,7 +65,9 @@ def _unit_fraction(x: Fraction, open: bool) -> Fraction:
                 f"expected an exact rational, got {type(x).__name__} {x!r}"
             )
         x = Fraction(x)
-    if not (0 < x < 1 if open else 0 <= x <= 1):
+    # int tests on the reduced terms: the denominator is always >= 1
+    n, d = x.numerator, x.denominator
+    if not (0 < n < d if open else 0 <= n <= d):
         raise ValueError(f"x must lie in {'(0, 1)' if open else '[0, 1]'}, got {x}")
     return x
 

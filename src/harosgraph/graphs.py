@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterator, Sequence
 
-from .errors import AdjacencyError, ResourceLimitError
+from .errors import AdjacencyError, NotRationalError, ResourceLimitError
 from .exact import _cf_terms, _integer, _unit_fraction
 
 __all__ = [
@@ -52,6 +52,14 @@ class HarosGraph:
         return sum(self.degrees) // 2
 
 
+def _graph(g: HarosGraph) -> HarosGraph:
+    """g itself if it is a :class:`HarosGraph`; anything else raises
+    :class:`NotRationalError` naming its type."""
+    if not isinstance(g, HarosGraph):
+        raise NotRationalError(f"expected a HarosGraph, got {type(g).__name__} {g!r}")
+    return g
+
+
 def initial_graph(label: Fraction) -> HarosGraph:
     """The seed graph: two nodes joined by a single edge."""
     label = _unit_fraction(label, open=False)
@@ -67,7 +75,9 @@ def concat(left: HarosGraph, right: HarosGraph) -> HarosGraph:
     add), and one fresh edge joins the new outer extremes, raising each of
     their degrees by one.  The labels must be Farey neighbours with
     left.label < right.label; the result is labelled by their mediant.
+    Anything but a :class:`HarosGraph` raises :class:`NotRationalError`.
     """
+    left, right = _graph(left), _graph(right)
     p, q = left.label.numerator, left.label.denominator
     r, s = right.label.numerator, right.label.denominator
     if q * r - p * s != 1:
@@ -87,8 +97,9 @@ def build(x: Fraction) -> HarosGraph:
     node: an L step concatenates the left neighbour with the current graph,
     an R step the current graph with the right neighbour.  This makes the
     adjacency precondition of :func:`concat` hold by construction.  A run of
-    identical steps is written in one pass, so the work is linear in the
-    size of the graphs the runs end on, which is O(q) in total.
+    identical steps is written in one pass that copies each of the two
+    graphs it joins once, so the work is linear in the size of the graphs
+    the runs end on, which is O(q) in total.
     """
     x = _unit_fraction(x, open=False)
     if x.denominator > BUILD_MAX_DENOMINATOR:
@@ -96,7 +107,7 @@ def build(x: Fraction) -> HarosGraph:
             f"building {x} needs {x.denominator + 1} node degrees; "
             f"the cap is denominator <= {BUILD_MAX_DENOMINATOR}"
         )
-    if x == 0 or x == 1:
+    if x.denominator == 1:  # 0/1 or 1/1
         return initial_graph(x)
     # The walk starts on the graph of 1/1 with 0/1 as its left neighbour, so
     # the opening L step concatenates the seeds into the graph of 1/2.  The
@@ -122,32 +133,45 @@ def _left_steps(left: list[int], cur: list[int], r: int) -> list[int]:
     Each step adds one to the first degree of ``left`` and to the last one
     of the running graph, and merges the last node of ``left`` into the
     first node of the running graph, so the copies of ``left`` are joined
-    by nodes of degree left[-1] + left[0] + 1.
+    by nodes of degree left[-1] + left[0] + 1.  Each list is copied once:
+    ``left`` less its last node is repeated in place, only when r > 1, then
+    the whole running list is appended and its two ends are fixed.
     """
     if not r:
         return cur
-    l0, mid, last = left[0], left[1:-1], left[-1]
-    out = [l0 + 1]
-    out += (mid + [last + l0 + 1]) * (r - 1)
-    out += mid
-    out.append(last + cur[0])
-    out += cur[1:-1]
-    out.append(cur[-1] + r)
+    l0, last = left[0], left[-1]
+    out = left[:-1]
+    if r > 1:
+        out[0] = last + l0 + 1  # the joint opens every copy but the first
+        out *= r
+    out[0] = l0 + 1
+    n = len(out)
+    out += cur
+    out[n] += last  # the merged node
+    out[-1] += r
     return out
 
 
 def _right_steps(cur: list[int], right: list[int], r: int) -> list[int]:
     """Degrees after r R steps: ((cur ⊕ right) ⊕ ...) ⊕ right, the mirror
-    of :func:`_left_steps`."""
+    of :func:`_left_steps`.  Each list is copied once: the running list
+    less its last node, then the whole of ``right``, with the merged node
+    fixed; the r - 1 further copies of ``right[1:]``, each ending on a
+    joint, are built only when r > 1 and go in after the merged node."""
     if not r:
         return cur
-    r0, mid, last = right[0], right[1:-1], right[-1]
-    out = [cur[0] + r]
-    out += cur[1:-1]
-    out.append(cur[-1] + r0)
-    out += (mid + [last + r0 + 1]) * (r - 1)
-    out += mid
-    out.append(last + 1)
+    r0, last = right[0], right[-1]
+    out = cur[:-1]
+    out[0] += r
+    n = len(out)
+    out += right
+    out[n] += cur[-1]  # the merged node
+    if r > 1:
+        block = right[1:]
+        block[-1] += r0 + 1
+        block *= r - 1
+        out[n + 1:n + 1] = block
+    out[-1] += 1
     return out
 
 
@@ -159,12 +183,19 @@ def identify_boundary(g: HarosGraph) -> dict[int, int]:
     degree is conserved and the counts sum to q, the node count less one.
     Undefined for the two-node seed graph; the endpoints of the unit
     interval get the all-zero degree distribution by convention instead.
+    Anything but a :class:`HarosGraph` raises :class:`NotRationalError`.
     """
-    if len(g.degrees) < 3:
+    degrees = _graph(g).degrees
+    if len(degrees) < 3:
         raise ValueError("boundary identification is undefined for the seed graph")
-    counts = Counter(g.degrees[1:-1])
-    counts[g.degrees[0] + g.degrees[-1]] += 1
-    return dict(sorted(counts.items()))
+    # count every node once, with no slice copy, then move the two extremes
+    # onto their sum; an extreme degree found nowhere else drops to zero
+    first, last = degrees[0], degrees[-1]
+    counts = Counter(degrees)
+    counts[first] -= 1
+    counts[last] -= 1
+    counts[first + last] += 1
+    return {k: m for k, m in sorted(counts.items()) if m}
 
 
 def iter_identified_counts(

@@ -187,7 +187,7 @@ def _level_pairs(k: int):
 def level_index(x: Fraction) -> int:
     """Tree level of x: 1 for the endpoints, otherwise the sum of CF terms."""
     x = _unit_fraction(x, open=False)
-    if x == 0 or x == 1:
+    if x.denominator == 1:  # 0/1 or 1/1
         return 1
     return sum(_cf_terms(x.numerator, x.denominator))
 

@@ -146,7 +146,31 @@ class TestDist:
         )
         code, out, err = run(capsys, "dist", "1/3", "--method", "all", "--strict")
         assert code == 4
-        assert "MISMATCH" in out
+        # a count missing from one column is 0/1 there
+        assert out == (
+            "k  thm1  thm2  oracle  match\n"
+            "2  1/3  2/3  1/3  MISMATCH\n"
+            "3  1/3  0/1  1/3  MISMATCH\n"
+            "5  1/3  0/1  1/3  MISMATCH\n"
+        )
+        assert err == "error: methods disagree\n"
+
+    # the same digests are checked on `python -m harosgraph.cli dist` in CI
+    @pytest.mark.parametrize(
+        "fraction, method, digest",
+        [
+            ("1/4096", "all", "d7ffa7aa8b5ddce0c63cf97a3793931265aae9241c36c156f650712693e15669"),
+            ("6765/10946", "all", "9a55701747fae31dc43dbb79abc2c97bdffce5f5284ba3ef3f735c554eba1a38"),
+            ("46368/75025", "all", "fc0e430b2d7c6e552cce8fff72866976fdc7dd076ff8b7fd97f01bbb436a449e"),
+            ("10/23", "all", "1f7ffa7e0af8ee9fc93ab33343422bc19d65385d78ee18af16fb129d0d7dc606"),
+            (f"3/{10**200 + 7}", "thm2", "11a6f5fc441d98e42eb694ef8139b33f01084c931dcdeee122093b844ef6f8f2"),
+        ],
+        ids=["1/4096", "6765/10946", "46368/75025", "10/23", "3/(10^200+7)"],
+    )
+    def test_pinned_bytes(self, capsys, fraction, method, digest):
+        code, out, err = run(capsys, "dist", fraction, "--method", method)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_oracle_cap_exits_3(self, capsys):
         code, _, err = run(capsys, "dist", "10/23", "--method", "oracle", "--max-q", "5")
@@ -393,3 +417,37 @@ class TestVerify:
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_state_leaks_between_commands(self, capsys):
+        # one cached parser for all four commands, in this order, gives what
+        # a freshly built parser gives for each of them
+        commands = [
+            ["dist", "1/3", "--method", "all", "--strict"],
+            ["dist", "1/3", "--method", "nonsense"],
+            ["--help"],
+            ["dist", "1/3"],
+        ]
+        shared = [run(capsys, *argv) for argv in commands]
+        fresh = []
+        for argv in commands:
+            cli.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 2, 0, 0]
+        assert shared[0][1] == shared[3][1]
+        assert "invalid choice: 'nonsense'" in shared[1][2]
+        assert shared[2][1].startswith("usage: haros")
+
+    def test_handler_is_looked_up_at_call_time(self, capsys, monkeypatch):
+        # the parser is built and cached by the first command; a handler
+        # replaced after that still runs
+        assert run(capsys, "dist", "1/3")[0] == 0
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_dist", lambda args: seen.append(args.fraction) or 7)
+        assert run(capsys, "dist", "2/5")[0] == 7
+        assert seen == ["2/5"]

@@ -31,6 +31,7 @@ from harosgraph.errors import (
 from harosgraph.exact import cf_expand, suffix_continuants
 from harosgraph.graphs import (
     build,
+    concat,
     identify_boundary,
     initial_graph,
     iter_identified_counts,
@@ -256,6 +257,9 @@ def test_degree_below_five_is_a_value_error(name):
         lambda: DegreeDistribution({}, True),
         lambda: check_descent_recurrences(3, 4.0),
         lambda: check_descent_recurrences(True, 4),
+        lambda: concat(1, 2),
+        lambda: identify_boundary(None),
+        lambda: identify_boundary((1, 2, 3)),
     ],
     ids=[
         "iter_farey_pairs(3.5)", "iter_farey_pairs(True)",
@@ -269,11 +273,32 @@ def test_degree_below_five_is_a_value_error(name):
         "iter_identified_counts([5.0])",
         "DegreeDistribution(2.0)", "DegreeDistribution(True)",
         "check_descent_recurrences(3, 4.0)", "check_descent_recurrences(True, 4)",
+        "concat(1, 2)", "identify_boundary(None)", "identify_boundary((1, 2, 3))",
     ],
 )
 def test_bad_order_level_or_mediant_input_is_a_package_type_error(call):
     with pytest.raises(NotRationalError):
         call()
+
+
+# Each used to die on a bare AttributeError (``.label`` or ``.degrees``)
+@pytest.mark.parametrize(
+    "call, type_name",
+    [
+        (lambda: concat(1, 2), "int"),
+        (lambda: concat(build(Fraction(1, 3)), "1/2"), "str"),
+        (lambda: identify_boundary(None), "NoneType"),
+        (lambda: identify_boundary((1, 2, 3)), "tuple"),
+    ],
+    ids=["concat(1, 2)", "concat(g, '1/2')", "identify_boundary(None)",
+         "identify_boundary((1, 2, 3))"],
+)
+def test_non_graph_input_is_a_package_type_error_naming_its_type(call, type_name):
+    with pytest.raises(NotRationalError) as info:
+        call()
+    assert isinstance(info.value, HarosError)
+    assert isinstance(info.value, TypeError)
+    assert f"expected a HarosGraph, got {type_name} " in str(info.value)
 
 
 # A zero denominator used to build a distribution whose probability(2) and

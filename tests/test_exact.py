@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from harosgraph.exact import (
     ContinuedFraction,
+    _unit_fraction,
     cf_expand,
     cf_value,
     continuant,
@@ -76,6 +77,23 @@ class TestCfExpand:
             assert terms[-1] >= 2
         if 0 < x <= Fraction(1, 2):
             assert terms[0] >= 2
+
+
+@pytest.mark.parametrize("open_", [True, False])
+def test_unit_fraction_range_matches_fraction_comparisons(open_):
+    # the range test reads the reduced int terms; it must accept exactly
+    # what 0 < x < 1 (open) or 0 <= x <= 1 (closed) accepts
+    interval = "(0, 1)" if open_ else "[0, 1]"
+    for n, d in product(range(-5, 9), range(1, 5)):
+        x = Fraction(n, d)
+        for value in (x, n) if d == 1 else (x,):
+            if 0 < x < 1 if open_ else 0 <= x <= 1:
+                got = _unit_fraction(value, open=open_)
+                assert type(got) is Fraction and got == x
+            else:
+                with pytest.raises(ValueError) as info:
+                    _unit_fraction(value, open=open_)
+                assert str(info.value) == f"x must lie in {interval}, got {x}"
 
 
 class TestContinuedFractionType:

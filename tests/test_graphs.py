@@ -10,6 +10,8 @@ from harosgraph.distribution import cf_form_distribution
 from harosgraph.errors import AdjacencyError, ResourceLimitError
 from harosgraph.graphs import (
     HarosGraph,
+    _left_steps,
+    _right_steps,
     build,
     concat,
     identify_boundary,
@@ -33,10 +35,11 @@ def _fibonacci_ratios(limit):
 
 
 # One huge continued-fraction term (1/q) and many terms of 1 (Fibonacci
-# ratios): the two extremes of run length for the run-at-a-time build.
+# ratios, up to 46368/75025): the two extremes of run length for the
+# run-at-a-time build; 301/605 = [2, 100, 3] has one long run inside.
 ADVERSARIAL = [
     Fraction(1, q) for q in (2**10, 2**10 + 1, 3 * 2**10, 2**11, 2**12)
-] + list(_fibonacci_ratios(10**5))
+] + list(_fibonacci_ratios(10**5)) + [Fraction(301, 605)]
 
 
 # Fig-style reference data, derived by applying the merge rule by hand and
@@ -129,7 +132,7 @@ class TestBuild:
         return cur
 
     def test_matches_stepwise_navigation(self):
-        for p, q in iter_farey_pairs(150):
+        for p, q in iter_farey_pairs(200):
             if 0 < p < q:
                 x = Fraction(p, q)
                 assert build(x) == self.stepwise(x)
@@ -138,6 +141,24 @@ class TestBuild:
     def test_matches_stepwise_navigation_adversarial(self, x):
         assert build(x) == self.stepwise(x)
         assert build(1 - x) == self.stepwise(1 - x)
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 3, 7])
+    def test_run_steps_match_repeated_concat(self, r):
+        # a run of r steps written in one pass, against r single concats;
+        # the operands are left untouched, since the build reuses them
+        pairs = [(Fraction(0), Fraction(1)), (Fraction(1, 3), Fraction(1, 2)),
+                 (Fraction(2, 7), Fraction(1, 3)), (Fraction(3, 5), Fraction(2, 3))]
+        for a, b in pairs:
+            left, right = build(a), build(b)
+            # L steps: left ⊕ (left ⊕ ... right); R steps: (left ⊕ right) ⊕ ...
+            by_left, by_right = right, left
+            for _ in range(r):
+                by_left = concat(left, by_left)
+                by_right = concat(by_right, right)
+            lo, hi = list(left.degrees), list(right.degrees)
+            assert tuple(_left_steps(lo, hi, r)) == by_left.degrees
+            assert tuple(_right_steps(lo, hi, r)) == by_right.degrees
+            assert (tuple(lo), tuple(hi)) == (left.degrees, right.degrees)
 
     def test_million_node_build(self):
         # one run of a million steps, written in one pass
@@ -160,6 +181,22 @@ class TestIdentifyBoundary:
             8: 2,
             10: 1,
         }
+
+    def test_boundary_degree_equal_to_an_interior_degree(self):
+        # the two extremes sum to a degree interior nodes have too
+        g = HarosGraph(Fraction(1, 3), (1, 2, 3, 1))
+        assert identify_boundary(g) == {2: 2, 3: 1}
+        g = HarosGraph(Fraction(1, 2), (2, 4, 2))
+        assert identify_boundary(g) == {4: 2}
+
+    def test_end_degree_only_at_the_ends_leaves_no_zero(self):
+        # the end degree 4 of 1/4 and of 2/7 (and q of 1/q) is on no other node
+        assert build(Fraction(1, 4)).degrees == (2, 3, 3, 2, 4)
+        assert identify_boundary(build(Fraction(1, 4))) == {2: 1, 3: 2, 6: 1}
+        assert identify_boundary(build(Fraction(2, 7))) == {2: 2, 3: 3, 6: 1, 7: 1}
+        assert identify_boundary(build(Fraction(1, 4096))) == {2: 1, 3: 4094, 4098: 1}
+        g = HarosGraph(Fraction(1, 3), (5, 2, 3, 7))
+        assert identify_boundary(g) == {2: 1, 3: 1, 12: 1}
 
     def test_rejects_seed_graph(self):
         with pytest.raises(ValueError):
