@@ -257,9 +257,6 @@ def test_degree_below_five_is_a_value_error(name):
         lambda: DegreeDistribution({}, True),
         lambda: check_descent_recurrences(3, 4.0),
         lambda: check_descent_recurrences(True, 4),
-        lambda: concat(1, 2),
-        lambda: identify_boundary(None),
-        lambda: identify_boundary((1, 2, 3)),
     ],
     ids=[
         "iter_farey_pairs(3.5)", "iter_farey_pairs(True)",
@@ -273,7 +270,6 @@ def test_degree_below_five_is_a_value_error(name):
         "iter_identified_counts([5.0])",
         "DegreeDistribution(2.0)", "DegreeDistribution(True)",
         "check_descent_recurrences(3, 4.0)", "check_descent_recurrences(True, 4)",
-        "concat(1, 2)", "identify_boundary(None)", "identify_boundary((1, 2, 3))",
     ],
 )
 def test_bad_order_level_or_mediant_input_is_a_package_type_error(call):
@@ -281,7 +277,8 @@ def test_bad_order_level_or_mediant_input_is_a_package_type_error(call):
         call()
 
 
-# Each used to die on a bare AttributeError (``.label`` or ``.degrees``)
+# Each used to die on a bare AttributeError (``.label`` or ``.degrees``);
+# the error names the type it got
 @pytest.mark.parametrize(
     "call, type_name",
     [
