@@ -46,6 +46,7 @@ from .tree import _walk
 __all__ = [
     "DEFAULT_ROW_CAP",
     "DegreeDistribution",
+    "UNCAPPED_ROW_COUNT_MAX_ORDER",
     "cf_form_distribution",
     "degree_distribution_oracle",
     "interval_form_distribution",
@@ -290,6 +291,10 @@ def interval_form_distribution(x: Fraction) -> DegreeDistribution:
 
 DEFAULT_ROW_CAP = 5_000_000
 
+# Without a cap, sweep_row_count sieves totients up to the order itself, a
+# list of order + 1 ints (about 36 MB at this order); above it, it refuses.
+UNCAPPED_ROW_COUNT_MAX_ORDER = 10**6
+
 
 def sweep_row_count(
     degrees: Sequence[int], order: int, cap: int | None = None
@@ -300,12 +305,19 @@ def sweep_row_count(
     count once.  With a cap, counting stops once the count passes it, and
     that partial count (already above the cap) is returned.  The totient
     sieve starts near sqrt(cap) and doubles, so it never reaches much past
-    2·sqrt(cap), however large ``order`` is.
+    2·sqrt(cap), however large ``order`` is.  With no cap the sieve runs up
+    to ``order``, so an order above :data:`UNCAPPED_ROW_COUNT_MAX_ORDER`
+    raises :class:`ResourceLimitError` before anything is allocated.
     """
     order = _integer(order, "a Farey order")
     per_x = len({_degree(k) for k in degrees})
     if not per_x:
         return 0  # with a cap, doubling would otherwise run up to ``order``
+    if cap is None and order > UNCAPPED_ROW_COUNT_MAX_ORDER:
+        raise ResourceLimitError(
+            f"counting the rows of order {order} without a cap sieves {order + 1} "
+            f"totients; the largest uncapped order is {UNCAPPED_ROW_COUNT_MAX_ORDER}"
+        )
     limit = order if cap is None else min(order, isqrt(max(cap, 0)) + 2)
     while True:
         rows = per_x * _interior_count(limit)

@@ -184,17 +184,35 @@ def identify_boundary(g: HarosGraph) -> dict[int, int]:
     Undefined for the two-node seed graph; the endpoints of the unit
     interval get the all-zero degree distribution by convention instead.
     Anything but a :class:`HarosGraph` raises :class:`NotRationalError`.
+
+    Every node of the sequence is counted.  When every degree is below 256
+    the sequence is copied into a byte string and counted in C, one pass
+    per distinct degree (14 to 20 for golden-ratio graphs of q near 10^5);
+    a larger degree, such as the extreme degree q of 1/q, makes it a
+    :class:`collections.Counter`, one Python-level increment per node.
     """
     degrees = _graph(g).degrees
     if len(degrees) < 3:
         raise ValueError("boundary identification is undefined for the seed graph")
-    # count every node once, with no slice copy, then move the two extremes
-    # onto their sum; an extreme degree found nowhere else drops to zero
+    try:
+        rest = bytes(degrees)
+    except ValueError:  # a degree above 255
+        counts = Counter(degrees)
+    else:
+        # each pass deletes every node of the first remaining degree, and
+        # the drop in length is that degree's count
+        counts = {}
+        while rest:
+            n = len(rest)
+            degree = rest[0]
+            rest = rest.translate(None, rest[:1])
+            counts[degree] = n - len(rest)
+    # move the two extremes onto their sum; an extreme degree found nowhere
+    # else drops to zero
     first, last = degrees[0], degrees[-1]
-    counts = Counter(degrees)
     counts[first] -= 1
     counts[last] -= 1
-    counts[first + last] += 1
+    counts[first + last] = counts.get(first + last, 0) + 1
     return {k: m for k, m in sorted(counts.items()) if m}
 
 

@@ -81,6 +81,18 @@ class Tally:
                 self.first_failure = f"{self.name}: {detail}"
         return ok
 
+    def check_pairs(
+        self, got: Sequence[object], expected: Sequence[object], describe: Callable[[int], str]
+    ) -> None:
+        """Count one check per position of two equal-length lists: all at
+        once when the lists are equal, else each pair as :meth:`check`, with
+        ``describe(i)`` naming the case at position i."""
+        if got == expected:
+            self.passed += len(got)
+            return
+        for i, (a, b) in enumerate(zip(got, expected)):
+            self.check(a == b, lambda: describe(i))
+
 
 @dataclass
 class RunManifest:
@@ -221,13 +233,15 @@ def check_triple_equality(order: int) -> Tally:
             lambda x=x, a=by_graph, b=by_cf: f"counts at {x}: oracle {a} != cf form {b}",
         )
         ks = range(5, sum(_cf_terms(p, q)) + 4)
-        for k, count in zip(ks, _interval_form_counts(ks, p, q)):
-            t.check(
-                by_cf.get(k, 0) == count,
-                lambda x=x, k=k, cf=by_cf.get(k, 0), count=count: (
-                    f"P({k}, {x})·q: cf form {cf} != interval form {count}"
-                ),
-            )
+        from_cf = [by_cf.get(k, 0) for k in ks]
+        from_tree = _interval_form_counts(ks, p, q)
+        t.check_pairs(
+            from_cf,
+            from_tree,
+            lambda i: (
+                f"P({ks[i]}, {x})·q: cf form {from_cf[i]} != interval form {from_tree[i]}"
+            ),
+        )
     return t
 
 

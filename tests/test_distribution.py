@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from harosgraph.distribution import (
+    UNCAPPED_ROW_COUNT_MAX_ORDER,
     DegreeDistribution,
     _cf_form_counts,
     _count_at,
@@ -707,3 +708,31 @@ class TestSweep:
         monkeypatch.setattr(harosgraph.distribution, "_interior_count", interior_count)
         assert sweep_row_count([], 10**9, cap=5) == 0
         assert limits == []
+
+    @pytest.mark.parametrize("order", [UNCAPPED_ROW_COUNT_MAX_ORDER + 1, 10**12])
+    def test_row_count_without_cap_refuses_before_the_sieve(self, order):
+        # 10**12 used to raise a bare MemoryError from the totient list
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as info:
+                sweep_row_count([5], order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+        message = str(info.value)
+        assert f"order {order} " in message
+        assert f"the largest uncapped order is {UNCAPPED_ROW_COUNT_MAX_ORDER}" in message
+
+    def test_row_count_without_cap_sieves_up_to_the_largest_order(self, monkeypatch):
+        import harosgraph.distribution
+
+        limits = []
+
+        def interior_count(order):
+            limits.append(order)
+            return 0
+
+        monkeypatch.setattr(harosgraph.distribution, "_interior_count", interior_count)
+        assert sweep_row_count([5], UNCAPPED_ROW_COUNT_MAX_ORDER) == 0
+        assert limits == [UNCAPPED_ROW_COUNT_MAX_ORDER]

@@ -1,5 +1,6 @@
 """Explicit graph construction: concatenation, builds, boundary counts."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -170,7 +171,43 @@ class TestBuild:
         assert identify_boundary(g) == cf_form_distribution(x).counts
 
 
+def _counter_reference(degrees):
+    """identify_boundary's counts by a plain Counter over every node."""
+    counts = Counter(degrees)
+    counts[degrees[0]] -= 1
+    counts[degrees[-1]] -= 1
+    counts[degrees[0] + degrees[-1]] += 1
+    return {k: m for k, m in sorted(counts.items()) if m}
+
+
+# identify_boundary counts a byte string when every degree is below 256 and
+# a Counter otherwise; each case names the path its graphs take.
+COUNTING_PATH_CASES = {
+    "1/254": ([Fraction(1, 254)], "bytes"),
+    "1/255": ([Fraction(1, 255)], "bytes"),  # extreme degree 255
+    "1/256": ([Fraction(1, 256)], "Counter"),  # extreme degree 256
+    "2/507": ([Fraction(2, 507)], "Counter"),  # an interior degree of 256
+    "2/509": ([Fraction(2, 509)], "Counter"),  # an interior degree of 257
+    "46368/75025": ([Fraction(46368, 75025)], "bytes"),
+    "F_60": (
+        [Fraction(p, q) for p, q in iter_farey_pairs(60) if 0 < p < q],
+        "bytes",
+    ),
+}
+
+
 class TestIdentifyBoundary:
+    @pytest.mark.parametrize("case", list(COUNTING_PATH_CASES))
+    def test_both_counting_paths_match_a_counter(self, case):
+        xs, path = COUNTING_PATH_CASES[case]
+        for x in xs:
+            g = build(x)
+            degrees = g.degrees
+            assert ("bytes" if max(degrees) < 256 else "Counter") == path
+            counts = identify_boundary(g)
+            assert counts == _counter_reference(degrees)
+            assert list(counts) == sorted(counts)
+
     def test_worked_multisets(self):
         assert identify_boundary(build(Fraction(1, 2))) == {2: 1, 4: 1}
         assert identify_boundary(build(Fraction(1, 3))) == {2: 1, 3: 1, 5: 1}

@@ -36,6 +36,16 @@ class TestTally:
         assert (t.passed, t.failed) == (1, 2)
         assert t.first_failure == "demo: first problem"
 
+    def test_check_pairs_counts_each_position(self):
+        t = Tally("demo")
+        t.check_pairs([1, 2, 3], [1, 2, 3], lambda i: "never shown")
+        assert (t.passed, t.failed, t.first_failure) == (3, 0, None)
+        seen = []
+        t.check_pairs([1, 5, 3, 7], [1, 2, 3, 4], lambda i: seen.append(i) or f"at {i}")
+        assert (t.passed, t.failed) == (5, 2)
+        assert t.first_failure == "demo: at 1"
+        assert seen == [1]  # described once, on the first failure only
+
 
 class TestSuites:
     def test_continuant_identities_on_grid(self):
