@@ -28,7 +28,6 @@ from .errors import (
 from .exact import (
     ContinuedFraction,
     cf_expand,
-    cf_value,
     continuant,
     convergents,
     suffix_continuants,
@@ -75,7 +74,6 @@ __all__ = [
     "build",
     "cf_expand",
     "cf_form_distribution",
-    "cf_value",
     "concat",
     "continuant",
     "convergents",

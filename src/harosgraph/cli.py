@@ -277,7 +277,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise _UsageError(f"cannot write {out_path!r}: {exc}")
     except ResourceLimitError as exc:
-        raise ResourceLimitError(f"{exc} (raise it with --max-rows)") from exc
+        raise ResourceLimitError(f"{exc} (set the row cap with --max-rows)") from exc
     finally:
         # after a successful os.replace there is nothing left to remove
         if os.path.exists(tmp_path):

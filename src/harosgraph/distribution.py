@@ -22,9 +22,9 @@ they are, and ``sweep`` yields them unreduced.  Only the public accessors
 (``entries``, ``probability``, ``interval_form_value``) build
 :class:`~fractions.Fraction` values.
 
-P is symmetric about 1/2, so x > 1/2 is evaluated through the mirror
-x -> 1 - x; the distributions of the endpoints 0 and 1 are identically zero
-by convention.
+P is symmetric about 1/2: thm1 evaluates x > 1/2 through the mirror
+x -> 1 - x, and the interval form descends towards x itself.  The
+distributions of the endpoints 0 and 1 are identically zero by convention.
 """
 
 from __future__ import annotations
@@ -41,12 +41,12 @@ from typing import Iterator, Mapping, Sequence
 from .errors import AmbiguousBreakpointError, NotRationalError, ResourceLimitError
 from .exact import _cf_terms, _degree, _integer, _unit_fraction
 from .graphs import build, identify_boundary, iter_identified_counts
-from .tree import _walk
+from .tree import _parents, _walk
 
 __all__ = [
     "DEFAULT_ROW_CAP",
     "DegreeDistribution",
-    "UNCAPPED_ROW_COUNT_MAX_ORDER",
+    "ROW_COUNT_MAX_SIEVE",
     "cf_form_distribution",
     "degree_distribution_oracle",
     "interval_form_distribution",
@@ -152,65 +152,8 @@ def interval_form_value(k: int, x: Fraction) -> Fraction:
     """
     x = _unit_fraction(x, open=True)
     q = x.denominator
-    (count,) = _interval_form_counts((_degree(k),), x.numerator, q)
+    (count,) = _walk((_degree(k),), x.numerator, q)[0]
     return Fraction(count, q)
-
-
-def _interval_form_counts(ks: Sequence[int], p: int, q: int) -> list[int]:
-    """Integer core of the interval form: P(k, p/q)·q for each k of ks.
-
-    For coprime 0 < p < q and ascending int degrees ks >= 5, unchecked: the
-    callers check their degrees (the public ones through
-    :func:`exact._degree`).  p/q > 1/2 is mirrored first.  This is the
-    descent of :func:`tree._walk` on its two gaps alone, below = p·b - q·a
-    and above = q·c - p·d against the current Farey parents a/b < p/q < c/d,
-    resumed from one degree to the next: each L or R run is one step of
-    Euclid's algorithm on the gaps, cut short at the pivot level k - 3 of
-    the next degree, where :func:`_count_at` reads the count off the gaps.
-    Equal gaps with levels still to go mean p/q lies above that pivot
-    level, so this degree and every later one count 0 and the loop stops.
-    One descent serves every degree, so the cost is O(m + len(ks)) for
-    p/q = [a_1, ..., a_m].
-    """
-    if 2 * p > q:
-        p = q - p
-    below, above = p, q - p
-    walked = 5
-    counts = []
-    for k in ks:
-        steps = k - walked
-        while steps and below != above:
-            if above > below:
-                run = min((above - 1) // below, steps)
-                above -= run * below
-            else:
-                run = min((below - 1) // above, steps)
-                below -= run * above
-            steps -= run
-        if steps:
-            counts += [0] * (len(ks) - len(counts))
-            return counts
-        walked = k
-        counts.append(_count_at(below, above))
-    return counts
-
-
-def _count_at(below: int, above: int) -> int:
-    """P(k, p/q)·q from the gaps of p/q at the pivot level k - 3.
-
-    below = p·b - q·a and above = q·c - p·d are the gaps of p/q to the
-    pivot's Farey parents a/b and c/d (the ``state[4], state[5]`` of
-    :func:`tree._walk`).  The count is the linear piece times q, the
-    cross-product of p/q with the child on its side of the pivot
-    (a + c)/(b + d): for the lower child (2a + c)/(2b + d) that is
-    2·below - above, for the upper child (a + 2c)/(b + 2d) it is
-    2·above - below.  Where that is not positive the count is 1 exactly on
-    the child and 0 beyond it; it is also 0 on the pivot (equal gaps).
-    """
-    if below == above:
-        return 0  # on the pivot
-    cross = 2 * below - above if below < above else 2 * above - below
-    return cross if cross > 0 else 1 if cross == 0 else 0
 
 
 # Floating inputs closer than this to a comparison breakpoint cannot be
@@ -221,10 +164,10 @@ BREAKPOINT_EPS = Fraction(4 * sys.float_info.epsilon)
 def interval_form_value_real(k: int, x: float) -> float:
     """Float evaluation of the interval form via an exact dyadic surrogate.
 
-    The float y = min(x, 1 - x) is converted to its exact binary rational
-    p/q and the count P(k, p/q)·q is found exactly, by the same rule as
+    The float x is converted to its exact binary rational p/q and the count
+    P(k, p/q)·q is found exactly, by the same descent as
     :func:`interval_form_value`; the result is count / q, correctly
-    rounded, so it equals ``float(interval_form_value(k, Fraction(y)))``.
+    rounded, so it equals ``float(interval_form_value(k, Fraction(x)))``.
     Raises :class:`AmbiguousBreakpointError` when x sits within a few ulps
     of a breakpoint without being exactly on it, and
     :class:`NotRationalError` when x is a bool or not a real number.
@@ -233,29 +176,28 @@ def interval_form_value_real(k: int, x: float) -> float:
         raise NotRationalError(f"expected a real number, got {type(x).__name__} {x!r}")
     if not 0.0 < x < 1.0:
         raise ValueError(f"x must lie strictly inside (0, 1), got {x!r}")
-    y = min(x, 1.0 - x)
-    p, q = y.as_integer_ratio()
-    state = _walk(_degree(k), p, q)
-    if state is None:
+    p, q = x.as_integer_ratio()
+    (count,), gaps = _walk((_degree(k),), p, q)
+    if gaps is None:
         return 0.0  # above the pivot level
-    a, b, c, d, below, above = state
-    # The walk closes in on y from both sides, so the nearest node it
+    (a, b), (c, d) = _parents(p, q, *gaps)
+    # The walk closes in on x from both sides, so the nearest node it
     # compared against is one of these five; b > 1 skips the seeds.
     nodes = (
         (a, b), (c, d), (a + c, b + d),  # the pivot's parents, the pivot
         (2 * a + c, 2 * b + d), (a + 2 * c, b + 2 * d),  # its children
     )
-    gaps = [
+    distances = [
         Fraction(abs(p * b - q * a), q * b)
         for a, b in nodes
         if b > 1 and p * b != q * a
     ]
-    if gaps and min(gaps) < BREAKPOINT_EPS:
+    if distances and min(distances) < BREAKPOINT_EPS:
         raise AmbiguousBreakpointError(
-            f"{x!r} lies within {float(min(gaps)):.3g} of a tree breakpoint; "
+            f"{x!r} lies within {float(min(distances)):.3g} of a tree breakpoint; "
             "the side of the linear piece is ambiguous at this precision"
         )
-    return _count_at(below, above) / q
+    return count / q
 
 
 def interval_form_distribution(x: Fraction) -> DegreeDistribution:
@@ -266,8 +208,7 @@ def interval_form_distribution(x: Fraction) -> DegreeDistribution:
     filled in directly.  The continued fraction only supplies the candidate
     degrees to query; each count still comes from the interval location,
     so this stays independent of :func:`cf_form_distribution`.  The
-    degrees ascend, so one descent serves them all
-    (:func:`_interval_form_counts`).
+    degrees ascend, so one descent serves them all (:func:`tree._walk`).
     """
     x = _unit_fraction(x, open=True)
     p, q = x.numerator, x.denominator
@@ -283,7 +224,7 @@ def interval_form_distribution(x: Fraction) -> DegreeDistribution:
     degrees = [s + 3 for s in sums]
     if level + 2 >= 5:
         degrees.append(level + 2)
-    for k, count in zip(degrees, _interval_form_counts(degrees, p, q)):
+    for k, count in zip(degrees, _walk(degrees, p, q)[0]):
         if count:
             counts[k] = count
     return DegreeDistribution(counts, q)
@@ -291,9 +232,9 @@ def interval_form_distribution(x: Fraction) -> DegreeDistribution:
 
 DEFAULT_ROW_CAP = 5_000_000
 
-# Without a cap, sweep_row_count sieves totients up to the order itself, a
-# list of order + 1 ints (about 36 MB at this order); above it, it refuses.
-UNCAPPED_ROW_COUNT_MAX_ORDER = 10**6
+# sweep_row_count sieves totients into a list of (limit + 1) ints, about
+# 36 MB at this limit; it refuses any larger sieve.
+ROW_COUNT_MAX_SIEVE = 10**6
 
 
 def sweep_row_count(
@@ -305,21 +246,22 @@ def sweep_row_count(
     count once.  With a cap, counting stops once the count passes it, and
     that partial count (already above the cap) is returned.  The totient
     sieve starts near sqrt(cap) and doubles, so it never reaches much past
-    2·sqrt(cap), however large ``order`` is.  With no cap the sieve runs up
-    to ``order``, so an order above :data:`UNCAPPED_ROW_COUNT_MAX_ORDER`
-    raises :class:`ResourceLimitError` before anything is allocated.
+    2·sqrt(cap), however large ``order`` is; with no cap it runs up to
+    ``order``.  A sieve above :data:`ROW_COUNT_MAX_SIEVE` raises
+    :class:`ResourceLimitError` before it is allocated: an uncapped order
+    above that bound, or a cap above about its square.
     """
     order = _integer(order, "a Farey order")
     per_x = len({_degree(k) for k in degrees})
     if not per_x:
         return 0  # with a cap, doubling would otherwise run up to ``order``
-    if cap is None and order > UNCAPPED_ROW_COUNT_MAX_ORDER:
-        raise ResourceLimitError(
-            f"counting the rows of order {order} without a cap sieves {order + 1} "
-            f"totients; the largest uncapped order is {UNCAPPED_ROW_COUNT_MAX_ORDER}"
-        )
     limit = order if cap is None else min(order, isqrt(max(cap, 0)) + 2)
     while True:
+        if limit > ROW_COUNT_MAX_SIEVE:
+            raise ResourceLimitError(
+                f"counting the rows of order {order} sieves totients up to "
+                f"{limit}; the largest sieve is {ROW_COUNT_MAX_SIEVE}"
+            )
         rows = per_x * _interior_count(limit)
         if limit == order or rows > cap:
             return rows
@@ -370,7 +312,7 @@ def sweep(
 
     for p, q, from_walk in iter_identified_counts(ks, order):
         from_cf = _cf_form_counts(p, q)
-        from_tree = _interval_form_counts(ks, p, q)
+        from_tree = _walk(ks, p, q)[0]
         yield p, q, [
             (k, from_cf.get(k, 0), count, built)
             for k, count, built in zip(ks, from_tree, from_walk)

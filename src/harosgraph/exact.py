@@ -19,7 +19,6 @@ from .errors import NotRationalError
 __all__ = [
     "ContinuedFraction",
     "cf_expand",
-    "cf_value",
     "continuant",
     "convergents",
     "suffix_continuants",
@@ -30,15 +29,18 @@ __all__ = [
 class ContinuedFraction:
     """Canonical term list [a_1, ..., a_m] of a rational in (0, 1].
 
-    The value is 1/(a_1 + 1/(a_2 + ...)).  All terms are positive and the
-    last term is >= 2, except for the value 1 whose expansion is the single
-    term [1].  The two classic representations [..., a] and [..., a-1, 1]
-    are collapsed to the first.
+    The value is 1/(a_1 + 1/(a_2 + ...)).  All terms are positive ints and
+    the last term is >= 2, except for the value 1 whose expansion is the
+    single term [1].  The two classic representations [..., a] and
+    [..., a-1, 1] are collapsed to the first.  A float or bool term raises
+    :class:`NotRationalError`.
     """
 
     terms: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        terms = tuple(_integer(a, "a continued-fraction term") for a in self.terms)
+        object.__setattr__(self, "terms", terms)
         if not self.terms:
             raise ValueError("a continued fraction needs at least one term")
         if any(a < 1 for a in self.terms):
@@ -116,19 +118,19 @@ def _cf_terms(p: int, q: int) -> tuple[int, ...]:
     return tuple(terms)
 
 
-def cf_value(cf: ContinuedFraction) -> Fraction:
-    """Rational value of a term list, the inverse of :func:`cf_expand`:
-    K(terms[1:]) / K(terms)."""
-    return Fraction(continuant(cf.terms[1:]), continuant(cf.terms))
-
-
 def convergents(cf: ContinuedFraction) -> list[Fraction]:
     """Convergents p_k/q_k of the truncations [a_1, ..., a_k] for k = 1..m.
 
     Uses the recurrence p_k = a_k p_{k-1} + p_{k-2} (same for q) seeded with
     p_0 = 0, q_0 = 1, p_{-1} = 1, q_{-1} = 0, so the first entry is 1/a_1
-    and the last one equals ``cf_value(cf)``.
+    and the last one is the value K(terms[1:]) / K(terms) itself, the
+    inverse of :func:`cf_expand`.  Anything but a :class:`ContinuedFraction`
+    raises :class:`NotRationalError` naming its type.
     """
+    if not isinstance(cf, ContinuedFraction):
+        raise NotRationalError(
+            f"expected a ContinuedFraction, got {type(cf).__name__} {cf!r}"
+        )
     out = []
     p_prev, q_prev = 1, 0
     p_cur, q_cur = 0, 1

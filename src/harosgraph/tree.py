@@ -4,6 +4,12 @@ The tree starts from the level-1 endpoints {0/1, 1/1} and grows by mediant
 sums of adjacent fractions; level k holds 2**(k-2) fractions for k >= 2.
 Descent words are read from a virtual root sitting above 1/2, so a single L
 reaches 1/2 and a word of length n ends on a fraction of level n + 1.
+
+The interval form of the degree distribution (the paper's second theorem)
+is one descent of this tree on two gaps, :func:`_walk`; the Farey parents
+come back from the gaps (:func:`_parents`) only where a bracket is wanted.
+This module imports only ``exact`` and ``errors``, so the descent reads
+neither the closed form (thm1) nor the oracle.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import AdjacencyError, ResourceLimitError
 from .exact import _cf_terms, _degree, _integer, _unit_fraction
@@ -218,7 +224,9 @@ def replay_path(path: SymbolicPath) -> Fraction:
     narrows hi to the current node, an R step narrows lo.  The walk starts
     on 1/1 with lo = 0/1, so the opening L lands on 1/2.  A run of j L steps
     is taken at once: hi becomes (j - 1) lo + cur and the current node
-    j lo + cur, mediant by mediant; R runs mirror that.
+    j lo + cur, mediant by mediant; R runs mirror that.  A symbol other
+    than L or R, or a run shorter than one step, raises ValueError; a run
+    length that is not an integer raises :class:`NotRationalError`.
     """
     if not path.runs:
         raise ValueError("empty descent word")
@@ -226,14 +234,17 @@ def replay_path(path: SymbolicPath) -> Fraction:
         raise ValueError("descent words start with L (one L reaches 1/2)")
     lo, cur, hi = (0, 1), (1, 1), (1, 1)
     for symbol, count in path.runs:
+        count = _integer(count, "a run length")
         if count < 1:
             raise ValueError(f"runs are at least one step long, got {count}")
         if symbol == LEFT:
             hi = (cur[0] + (count - 1) * lo[0], cur[1] + (count - 1) * lo[1])
             cur = (hi[0] + lo[0], hi[1] + lo[1])
-        else:
+        elif symbol == RIGHT:
             lo = (cur[0] + (count - 1) * hi[0], cur[1] + (count - 1) * hi[1])
             cur = (lo[0] + hi[0], lo[1] + hi[1])
+        else:
+            raise ValueError(f"descent words are spelled in L and R, got {symbol!r}")
     return Fraction(*cur)
 
 
@@ -245,10 +256,20 @@ def farey_parents(x: Fraction) -> tuple[Fraction, Fraction]:
     (p - a)/(q - b).  Both sit at shallower tree levels than x.
     """
     x = _unit_fraction(x, open=True)
-    p, q = x.numerator, x.denominator
-    b = pow(p, -1, q)
-    a = (p * b - 1) // q
-    return Fraction(a, b), Fraction(p - a, q - b)
+    (a, b), (c, d) = _parents(x.numerator, x.denominator, 1, 1)
+    return Fraction(a, b), Fraction(c, d)
+
+
+def _parents(p: int, q: int, below: int, above: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The Farey neighbours a/b < p/q < c/d with gaps below = p·b - q·a and
+    above = q·c - p·d, as ((a, b), (c, d)), for coprime 0 < p < q.
+
+    b < q, so b = below·p^-1 mod q and a = (p·b - below)/q; since
+    b·c - a·d = 1, below·d + above·b = q and below·c + above·a = p.
+    """
+    b = below * pow(p, -1, q) % q
+    a = (p * b - below) // q
+    return (a, b), ((p - a * above) // below, (q - b * above) // below)
 
 
 def tree_children(x: Fraction) -> tuple[Fraction, Fraction]:
@@ -279,10 +300,12 @@ def locate_for_degree(k: int, x: Fraction) -> EnclosingBracket:
     level the side is ELSEWHERE and the three fractions are None.
     """
     x = _unit_fraction(x, open=True)
-    state = _walk(_degree(k), x.numerator, x.denominator)
-    if state is None:
+    p, q = x.numerator, x.denominator
+    gaps = _walk((_degree(k),), p, q)[1]
+    if gaps is None:
         return EnclosingBracket(None, None, None, BracketSide.ELSEWHERE)
-    a, b, c, d, below, above = state
+    (a, b), (c, d) = _parents(p, q, *gaps)
+    below, above = gaps
     # The walk's gaps give the cross-products against the pivot and its
     # children; to_child > 0 exactly when x lies strictly between the child
     # and the pivot
@@ -306,38 +329,59 @@ def locate_for_degree(k: int, x: Fraction) -> EnclosingBracket:
     )
 
 
-def _walk(k: int, p: int, q: int) -> tuple[int, int, int, int, int, int] | None:
-    """Integer-pair descent towards p/q, 0 < p/q < 1, for the degree k.
+def _walk(ks: Sequence[int], p: int, q: int) -> tuple[list[int], tuple[int, int] | None]:
+    """The interval form's descent towards p/q: P(k, p/q)·q for each k of ks.
 
-    For an int k >= 5 (the walk trusts its caller, and the public entry
-    points check their degrees) the walk goes down to the pivot level k - 3,
-    one L or R run at a time: the length of a run is a floor division of two
-    cross-products of p/q with the current Farey parents.  It returns
-    (a, b, c, d, below, above): the pivot's Farey parents a/b < p/q < c/d,
-    the last nodes the walk compared against from below and above (or the
-    seeds 0/1 and 1/1, which are never compared), with the gaps
-    below = p·b - q·a and above = q·c - p·d.  Hitting p/q above the pivot
-    level means it is too shallow for this degree: the walk returns None.
-    It costs O(m) for p/q = [a_1, ..., a_m].
+    For coprime 0 < p < q and ascending int degrees ks >= 5, unchecked: the
+    public entry points check their degrees (through :func:`exact._degree`).
+    The descent keeps the gaps below = p·b - q·a and above = q·c - p·d to
+    the current Farey parents a/b < p/q < c/d, from 0/1 and 1/1.  Each L or
+    R run is one step of Euclid's algorithm on the gaps, cut short at the
+    pivot level k - 3 of the next degree, where :func:`_count_at` reads the
+    count; the descent resumes from there.  Equal gaps with levels still to
+    go mean p/q lies above that pivot level, so this degree and every later
+    one count 0.  Under x -> 1 - x the tree swaps L and R, so the gaps swap
+    and the counts stay.  Returns (counts, gaps): the counts in the order
+    of ks, and the last degree's (below, above), or None when p/q is too
+    shallow for it.  The cost is O(m + len(ks)) for p/q = [a_1, ..., a_m].
     """
-    a, b, c, d = 0, 1, 1, 1
     below, above = p, q - p
-    steps = k - 5
-    # Both gaps stay positive.  The node after an L run of j is
-    # (j*a + c)/(j*b + d), still above p/q while j*below < above; an R run
-    # mirrors that.  Each run is one step of Euclid's algorithm on the gaps,
-    # so a walk takes one iteration per continued-fraction term.  Equal gaps
-    # mean the next node is p/q itself.
-    while steps and below != above:
-        if above > below:
-            run = min((above - 1) // below, steps)
-            c, d = c + run * a, d + run * b
-            above -= run * below
-        else:
-            run = min((below - 1) // above, steps)
-            a, b = a + run * c, b + run * d
-            below -= run * above
-        steps -= run
-    if steps:
-        return None
-    return a, b, c, d, below, above
+    walked = 5
+    counts = []
+    for k in ks:
+        steps = k - walked
+        # Both gaps stay positive.  The node after an L run of j is
+        # (j*a + c)/(j*b + d), still above p/q while j*below < above; an R
+        # run mirrors that, so a descent takes one iteration per
+        # continued-fraction term.  Equal gaps mean the next node is p/q.
+        while steps and below != above:
+            if above > below:
+                run = min((above - 1) // below, steps)
+                above -= run * below
+            else:
+                run = min((below - 1) // above, steps)
+                below -= run * above
+            steps -= run
+        if steps:
+            return counts + [0] * (len(ks) - len(counts)), None
+        walked = k
+        counts.append(_count_at(below, above))
+    return counts, (below, above)
+
+
+def _count_at(below: int, above: int) -> int:
+    """P(k, p/q)·q from the gaps of p/q at the pivot level k - 3.
+
+    below = p·b - q·a and above = q·c - p·d are the gaps of p/q to the
+    pivot's Farey parents a/b and c/d, as :func:`_walk` keeps them.  The
+    count is the linear piece times q, the cross-product of p/q with the
+    child on its side of the pivot (a + c)/(b + d): for the lower child
+    (2a + c)/(2b + d) that is 2·below - above, for the upper child
+    (a + 2c)/(b + 2d) it is 2·above - below.  Where that is not positive
+    the count is 1 exactly on the child and 0 beyond it; it is also 0 on
+    the pivot (equal gaps).
+    """
+    if below == above:
+        return 0  # on the pivot
+    cross = 2 * below - above if below < above else 2 * above - below
+    return cross if cross > 0 else 1 if cross == 0 else 0

@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .distribution import _cf_form_counts, _interval_form_counts, cf_form_distribution
+from .distribution import _cf_form_counts, cf_form_distribution
 from .errors import ResourceLimitError
 from .exact import _cf_terms, _integer, continuant, suffix_continuants
 from .graphs import build, identify_boundary
@@ -24,6 +24,7 @@ from .tree import (
     LEFT,
     RIGHT,
     _pairs_between,
+    _walk,
     iter_farey_pairs,
     level_index,
     replay_path,
@@ -234,7 +235,7 @@ def check_triple_equality(order: int) -> Tally:
         )
         ks = range(5, sum(_cf_terms(p, q)) + 4)
         from_cf = [by_cf.get(k, 0) for k in ks]
-        from_tree = _interval_form_counts(ks, p, q)
+        from_tree = _walk(ks, p, q)[0]
         t.check_pairs(
             from_cf,
             from_tree,

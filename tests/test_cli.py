@@ -164,8 +164,11 @@ class TestDist:
             ("46368/75025", "all", "fc0e430b2d7c6e552cce8fff72866976fdc7dd076ff8b7fd97f01bbb436a449e"),
             ("10/23", "all", "1f7ffa7e0af8ee9fc93ab33343422bc19d65385d78ee18af16fb129d0d7dc606"),
             (f"3/{10**200 + 7}", "thm2", "11a6f5fc441d98e42eb694ef8139b33f01084c931dcdeee122093b844ef6f8f2"),
+            # the mirror of the last one, descended above 1/2: the same table
+            (f"{10**200 + 4}/{10**200 + 7}", "thm2", "11a6f5fc441d98e42eb694ef8139b33f01084c931dcdeee122093b844ef6f8f2"),
         ],
-        ids=["1/4096", "6765/10946", "46368/75025", "10/23", "3/(10^200+7)"],
+        ids=["1/4096", "6765/10946", "46368/75025", "10/23", "3/(10^200+7)",
+             "(10^200+4)/(10^200+7)"],
     )
     def test_pinned_bytes(self, capsys, fraction, method, digest):
         code, out, err = run(capsys, "dist", fraction, "--method", method)
@@ -331,7 +334,7 @@ class TestSweep:
         )
         assert code == 3
         assert "the cap is 10" in err
-        assert "raise it with --max-rows" in err
+        assert "(set the row cap with --max-rows)" in err
         assert not out_file.exists()
         assert not os.path.exists(str(out_file) + ".partial")
 
@@ -342,8 +345,21 @@ class TestSweep:
             "--out", str(out_file),
         )
         assert code == 3
-        assert "the cap is 5000000 (raise it with --max-rows)" in err
+        assert "the cap is 5000000 (set the row cap with --max-rows)" in err
         assert not out_file.exists()
+
+    def test_huge_cap_is_refused_before_counting(self, capsys, tmp_path):
+        # the row count's sieve used to start at isqrt(cap) + 2 = 10**12
+        # and die on a bare MemoryError
+        out_file = tmp_path / "s.csv"
+        code, _, err = run(
+            capsys, "sweep", "--k", "5", "--order", str(10**12),
+            "--out", str(out_file), "--max-rows", str(10**24),
+        )
+        assert code == 3
+        assert "sieves totients up to 1000000000000; the largest sieve is 1000000" in err
+        assert not out_file.exists()
+        assert not os.path.exists(str(out_file) + ".partial")
 
     def test_rejects_low_degree(self, capsys, tmp_path):
         code, _, _ = run(

@@ -10,11 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from harosgraph.distribution import (
-    UNCAPPED_ROW_COUNT_MAX_ORDER,
+    ROW_COUNT_MAX_SIEVE,
     DegreeDistribution,
     _cf_form_counts,
-    _count_at,
-    _interval_form_counts,
     cf_form_distribution,
     degree_distribution_oracle,
     interval_form_distribution,
@@ -29,7 +27,12 @@ from harosgraph.errors import (
     NotRationalError,
     ResourceLimitError,
 )
-from harosgraph.exact import cf_expand, suffix_continuants
+from harosgraph.exact import (
+    ContinuedFraction,
+    cf_expand,
+    convergents,
+    suffix_continuants,
+)
 from harosgraph.graphs import (
     build,
     concat,
@@ -39,11 +42,13 @@ from harosgraph.graphs import (
 )
 from harosgraph.tree import (
     BracketSide,
+    SymbolicPath,
     farey_parents,
     iter_farey_pairs,
     level_index,
     locate_for_degree,
     mediant,
+    replay_path,
     symbolic_path,
     _walk,
     tree_children,
@@ -234,7 +239,9 @@ def test_degree_below_five_is_a_value_error(name):
 # iter_identified_counts(3.5) yielded, the sweep, its row count,
 # iter_identified_counts("a") and check_descent_recurrences(3, 4.0) raised a
 # bare TypeError, tree_level(3.0) gave TreeLevel(index=3.0, ...), mediant an
-# AttributeError, a float denominator made a DegreeDistribution
+# AttributeError, a float denominator made a DegreeDistribution, replay_path
+# took a bool run (a float one raised a bare TypeError) and ContinuedFraction
+# a bool or float term
 @pytest.mark.parametrize(
     "call",
     [
@@ -258,6 +265,10 @@ def test_degree_below_five_is_a_value_error(name):
         lambda: DegreeDistribution({}, True),
         lambda: check_descent_recurrences(3, 4.0),
         lambda: check_descent_recurrences(True, 4),
+        lambda: replay_path(SymbolicPath((("L", True),))),
+        lambda: replay_path(SymbolicPath((("L", 2), ("R", 1.0)))),
+        lambda: ContinuedFraction((1.5, 2)),
+        lambda: ContinuedFraction((True, 2)),
     ],
     ids=[
         "iter_farey_pairs(3.5)", "iter_farey_pairs(True)",
@@ -271,6 +282,8 @@ def test_degree_below_five_is_a_value_error(name):
         "iter_identified_counts([5.0])",
         "DegreeDistribution(2.0)", "DegreeDistribution(True)",
         "check_descent_recurrences(3, 4.0)", "check_descent_recurrences(True, 4)",
+        "replay_path(L^True)", "replay_path(R^1.0)",
+        "ContinuedFraction((1.5, 2))", "ContinuedFraction((True, 2))",
     ],
 )
 def test_bad_order_level_or_mediant_input_is_a_package_type_error(call):
@@ -278,30 +291,31 @@ def test_bad_order_level_or_mediant_input_is_a_package_type_error(call):
         call()
 
 
-# Each used to die on a bare AttributeError (``.label`` or ``.degrees``);
-# the error names the type it got
+# Each used to die on a bare AttributeError (``.label``, ``.degrees`` or
+# ``.terms``); the error names the type it got
 @pytest.mark.parametrize(
-    "call, type_name",
+    "call, expected",
     [
-        (lambda: concat(1, 2), "int"),
-        (lambda: concat(build(Fraction(1, 3)), "1/2"), "str"),
-        (lambda: identify_boundary(None), "NoneType"),
-        (lambda: identify_boundary((1, 2, 3)), "tuple"),
+        (lambda: concat(1, 2), "a HarosGraph, got int"),
+        (lambda: concat(build(Fraction(1, 3)), "1/2"), "a HarosGraph, got str"),
+        (lambda: identify_boundary(None), "a HarosGraph, got NoneType"),
+        (lambda: identify_boundary((1, 2, 3)), "a HarosGraph, got tuple"),
+        (lambda: convergents([2, 3]), "a ContinuedFraction, got list"),
     ],
     ids=["concat(1, 2)", "concat(g, '1/2')", "identify_boundary(None)",
-         "identify_boundary((1, 2, 3))"],
+         "identify_boundary((1, 2, 3))", "convergents([2, 3])"],
 )
-def test_non_graph_input_is_a_package_type_error_naming_its_type(call, type_name):
+def test_non_graph_input_is_a_package_type_error_naming_its_type(call, expected):
     with pytest.raises(NotRationalError) as info:
         call()
     assert isinstance(info.value, HarosError)
     assert isinstance(info.value, TypeError)
-    assert f"expected a HarosGraph, got {type_name} " in str(info.value)
+    assert f"expected {expected} " in str(info.value)
 
 
 # A zero denominator used to build a distribution whose probability(2) and
 # total() raised ZeroDivisionError; a repeated degree would have lost its
-# walk slot
+# walk slot; replay_path read any symbol but L as R (L X^2 gave 3/4)
 @pytest.mark.parametrize(
     "call",
     [
@@ -309,10 +323,13 @@ def test_non_graph_input_is_a_package_type_error_naming_its_type(call, type_name
         lambda: DegreeDistribution({2: 1}, -2),
         lambda: list(iter_identified_counts([5, 6, 5], 10)),
         lambda: list(iter_identified_counts([2, 2], 1)),
+        lambda: replay_path(SymbolicPath((("L", 1), ("X", 2)))),
+        lambda: replay_path(SymbolicPath((("L", 1), ("l", 2)))),
     ],
     ids=[
         "DegreeDistribution(0)", "DegreeDistribution(-2)",
         "iter_identified_counts([5, 6, 5])", "iter_identified_counts([2, 2], 1)",
+        "replay_path(X^2)", "replay_path(l^2)",
     ],
 )
 def test_out_of_range_denominator_or_repeated_degree_is_a_value_error(call):
@@ -431,7 +448,7 @@ class TestIntervalFormCounts:
 
     def assert_matches_stepwise(self, p, q):
         ks = range(5, level_index(Fraction(p, q)) + 5)
-        assert _interval_form_counts(ks, p, q) == stepwise_counts(p, q, ks), (p, q)
+        assert _walk(ks, p, q)[0] == stepwise_counts(p, q, ks), (p, q)
 
     def test_matches_stepwise_f150(self):
         for p, q in iter_farey_pairs(150):
@@ -449,14 +466,14 @@ class TestIntervalFormCounts:
             self.assert_matches_stepwise(q - p, q)
 
     def assert_matches_walk(self, p, q):
-        # one degree past the level, so the last one is too shallow
-        y = min(p, q - p)
+        # one descent resumed across the degrees lands where a descent to
+        # each degree alone does; one degree past the level, so the last
+        # one is too shallow
         ks = range(5, level_index(Fraction(p, q)) + 5)
-        by_walk = [
-            0 if state is None else _count_at(state[4], state[5])
-            for state in (_walk(k, y, q) for k in ks)
-        ]
-        assert _interval_form_counts(ks, p, q) == by_walk, (p, q)
+        one_each = [_walk((k,), p, q) for k in ks]
+        assert _walk(ks, p, q) == ([counts[0] for counts, _ in one_each], None), (p, q)
+        # at the degree whose pivot is p/q itself, both gaps are 1
+        assert _walk(ks[:-1], p, q)[1] == one_each[-2][1] == (1, 1), (p, q)
 
     def test_matches_walk_states_f150(self):
         for p, q in iter_farey_pairs(150):
@@ -477,15 +494,15 @@ class TestIntervalFormCounts:
         # 1/4 = [4] sits on level 4 and has one node above degree 3, its
         # boundary of degree 6; pivot level 4 (k = 7) is 1/4 itself, and
         # every deeper pivot level is past it
-        assert _interval_form_counts([5, 6, 7, 8, 40], 1, 4) == [0, 1, 0, 0, 0]
-        assert _interval_form_counts([9, 30], 1, 4) == [0, 0]
+        assert _walk([5, 6, 7, 8, 40], 1, 4) == ([0, 1, 0, 0, 0], None)
+        assert _walk([9, 30], 1, 4) == ([0, 0], None)
 
     def test_subsets_of_degrees_share_the_walk(self):
         # skipping degrees must not change the ones asked for
         p, q = 10, 23
-        every = _interval_form_counts(range(5, 13), p, q)
-        assert _interval_form_counts([6, 9, 12], p, q) == [every[1], every[4], every[7]]
-        assert _interval_form_counts([], p, q) == []
+        every = _walk(range(5, 13), p, q)[0]
+        assert _walk([6, 9, 12], p, q)[0] == [every[1], every[4], every[7]]
+        assert _walk([], p, q)[0] == []
 
 
 class TestCfFormCounts:
@@ -709,22 +726,26 @@ class TestSweep:
         assert sweep_row_count([], 10**9, cap=5) == 0
         assert limits == []
 
-    @pytest.mark.parametrize("order", [UNCAPPED_ROW_COUNT_MAX_ORDER + 1, 10**12])
-    def test_row_count_without_cap_refuses_before_the_sieve(self, order):
-        # 10**12 used to raise a bare MemoryError from the totient list
+    @pytest.mark.parametrize(
+        "order, cap",
+        [(ROW_COUNT_MAX_SIEVE + 1, None), (10**12, None), (10**12, 10**24)],
+    )
+    def test_row_count_refuses_before_the_sieve(self, order, cap):
+        # each used to raise a bare MemoryError from the totient list: the
+        # capped one started its sieve at isqrt(cap) + 2 = 10**12
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError) as info:
-                sweep_row_count([5], order)
+                sweep_row_count([5], order, cap=cap)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**10
         message = str(info.value)
         assert f"order {order} " in message
-        assert f"the largest uncapped order is {UNCAPPED_ROW_COUNT_MAX_ORDER}" in message
+        assert f"the largest sieve is {ROW_COUNT_MAX_SIEVE}" in message
 
-    def test_row_count_without_cap_sieves_up_to_the_largest_order(self, monkeypatch):
+    def test_row_count_sieves_up_to_the_largest_sieve(self, monkeypatch):
         import harosgraph.distribution
 
         limits = []
@@ -734,5 +755,16 @@ class TestSweep:
             return 0
 
         monkeypatch.setattr(harosgraph.distribution, "_interior_count", interior_count)
-        assert sweep_row_count([5], UNCAPPED_ROW_COUNT_MAX_ORDER) == 0
-        assert limits == [UNCAPPED_ROW_COUNT_MAX_ORDER]
+        assert sweep_row_count([5], ROW_COUNT_MAX_SIEVE) == 0
+        assert limits == [ROW_COUNT_MAX_SIEVE]
+        # with a cap, an order at the bound still sieves once
+        limits.clear()
+        assert sweep_row_count([5], ROW_COUNT_MAX_SIEVE, cap=10**24) == 0
+        assert limits == [ROW_COUNT_MAX_SIEVE]
+        # the sieve starts at isqrt(cap) + 2 and doubles while the count
+        # stays at or below the cap; the first doubling past the bound is
+        # refused before it is sieved
+        limits.clear()
+        with pytest.raises(ResourceLimitError, match="sieves totients up to 1000008;"):
+            sweep_row_count([5], 10**12, cap=250_000**2)
+        assert limits == [250_002, 500_004]

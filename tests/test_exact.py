@@ -11,7 +11,6 @@ from harosgraph.exact import (
     ContinuedFraction,
     _unit_fraction,
     cf_expand,
-    cf_value,
     continuant,
     convergents,
     suffix_continuants,
@@ -61,13 +60,13 @@ class TestCfExpand:
 
     @given(unit_fractions())
     def test_round_trip(self, x):
-        assert cf_value(cf_expand(x)) == x
+        assert convergents(cf_expand(x))[-1] == x
 
     def test_round_trip_exhaustive_small(self):
         for q in range(1, 70):
             for p in range(1, q + 1):
                 x = Fraction(p, q)
-                assert cf_value(cf_expand(x)) == x
+                assert convergents(cf_expand(x))[-1] == x
 
     @given(unit_fractions())
     def test_canonical_form(self, x):
@@ -108,14 +107,16 @@ class TestContinuedFractionType:
             ContinuedFraction((2, 0, 2))
 
     def test_single_one_is_the_value_one(self):
-        assert cf_value(ContinuedFraction((1,))) == 1
+        assert convergents(ContinuedFraction((1,)))[-1] == 1
 
 
-class TestCfValue:
+class TestLastConvergent:
+    """The last convergent is the value of the whole term list."""
+
     def test_worked_values(self):
-        assert cf_value(ContinuedFraction((2, 3, 3))) == Fraction(10, 23)
-        assert cf_value(ContinuedFraction((1,))) == Fraction(1)
-        assert cf_value(ContinuedFraction((2,))) == Fraction(1, 2)
+        assert convergents(ContinuedFraction((2, 3, 3)))[-1] == Fraction(10, 23)
+        assert convergents(ContinuedFraction((1,)))[-1] == Fraction(1)
+        assert convergents(ContinuedFraction((2,)))[-1] == Fraction(1, 2)
 
     def test_matches_the_division_loop(self):
         # the value read from the last term up: 1/(a_1 + 1/(a_2 + ...))
@@ -126,13 +127,13 @@ class TestCfValue:
                 value = Fraction(0)
                 for a in reversed(terms):
                     value = 1 / (a + value)
-                assert cf_value(ContinuedFraction(terms)) == value, terms
+                assert convergents(ContinuedFraction(terms))[-1] == value, terms
 
     def test_bigint_terms(self):
         n = 10**200 + 7
-        assert cf_value(ContinuedFraction((n,))) == Fraction(1, n)
-        assert cf_value(ContinuedFraction((1, n))) == Fraction(n, n + 1)
-        assert cf_value(ContinuedFraction((2, n, 3))) == 1 / (2 + 1 / (n + Fraction(1, 3)))
+        assert convergents(ContinuedFraction((n,)))[-1] == Fraction(1, n)
+        assert convergents(ContinuedFraction((1, n)))[-1] == Fraction(n, n + 1)
+        assert convergents(ContinuedFraction((2, n, 3)))[-1] == 1 / (2 + 1 / (n + Fraction(1, 3)))
 
 
 class TestConvergents:
@@ -151,7 +152,7 @@ class TestConvergents:
         cf = ContinuedFraction(terms)
         got = convergents(cf)
         expected = [
-            cf_value(ContinuedFraction(canonical))
+            convergents(ContinuedFraction(canonical))[-1]
             for canonical in _canonical_truncations(terms)
         ]
         assert got == expected
@@ -204,7 +205,7 @@ class TestContinuant:
 
     @given(term_lists(max_size=10))
     def test_gives_numerator_and_denominator(self, terms):
-        x = cf_value(ContinuedFraction(terms))
+        x = convergents(ContinuedFraction(terms))[-1]
         assert continuant(terms) == x.denominator
         assert continuant(terms[1:]) == x.numerator
 

@@ -16,6 +16,7 @@ from harosgraph.tree import (
     EnclosingBracket,
     SymbolicPath,
     _pairs_between,
+    _parents,
     _walk,
     farey_parents,
     iter_farey_pairs,
@@ -322,14 +323,14 @@ class TestTreeChildren:
     def test_cf_parity_rule(self):
         # the child raising the last term is the smaller one exactly when
         # the term count is odd; appending ", 2" gives the other child
-        from harosgraph.exact import ContinuedFraction, cf_value
+        from harosgraph.exact import ContinuedFraction
 
         for k in range(2, 12):
             for x in tree_level(k).fractions:
                 terms = cf_expand(x).terms
                 left, right = tree_children(x)
-                plus = cf_value(ContinuedFraction(terms[:-1] + (terms[-1] + 1,)))
-                two = cf_value(ContinuedFraction(terms[:-1] + (terms[-1] - 1, 2)))
+                plus = convergents(ContinuedFraction(terms[:-1] + (terms[-1] + 1,)))[-1]
+                two = convergents(ContinuedFraction(terms[:-1] + (terms[-1] - 1, 2)))[-1]
                 if len(terms) % 2:
                     assert (left, right) == (plus, two)
                 else:
@@ -378,18 +379,19 @@ class TestLocateForDegree:
         for k, (side, nodes) in enumerate(stepwise_brackets(p, q, last_k), start=5):
             where = f"{p}/{q} at k = {k}"
             got = locate_for_degree(k, x)
-            # the walk stops at the same Farey parents, with the
-            # cross-product gaps of p/q to them
-            state = _walk(k, p, q)
+            # the walk stops with the cross-product gaps of p/q to the same
+            # Farey parents, and the parents come back from the gaps
+            gaps = _walk((k,), p, q)[1]
             if nodes is None:
                 assert got == EnclosingBracket(None, None, None, side), where
-                assert state is None, where
+                assert gaps is None, where
                 continue
             (a, b), lower, pivot, upper, (c, d) = nodes
             assert (got.side, got.lower, got.pivot, got.upper) == (
                 side, Fraction(*lower), Fraction(*pivot), Fraction(*upper)
             ), where
-            assert state == (a, b, c, d, p * b - q * a, q * c - p * d), where
+            assert gaps == (p * b - q * a, q * c - p * d), where
+            assert _parents(p, q, *gaps) == ((a, b), (c, d)), where
 
     def test_descent_matches_stepwise_walk_f150(self):
         for p, q in iter_farey_pairs(150):
@@ -411,23 +413,17 @@ class TestLocateForDegree:
             self.assert_matches_stepwise(p, q)
 
     def test_resumed_descent_matches_fresh_one(self):
-        # the interval form's descent, which went to k0 and goes on to k,
-        # lands where a fresh walk to k does
-        from harosgraph.distribution import _count_at, _interval_form_counts
-
+        # one descent that went to k0 and goes on to k lands where a
+        # descent to k alone does, with the same count and gaps
         for p, q in iter_farey_pairs(60):
             if not 0 < p < q:
                 continue
-            y = min(p, q - p)
             last_k = level_index(Fraction(p, q)) + 4
-            fresh = {}
-            for k in range(5, last_k + 1):
-                state = _walk(k, y, q)
-                fresh[k] = 0 if state is None else _count_at(state[4], state[5])
+            fresh = {k: _walk((k,), p, q) for k in range(5, last_k + 1)}
             for k0 in range(5, last_k + 1):
                 for k in range(k0, last_k + 1):
-                    _, resumed = _interval_form_counts((k0, k), p, q)
-                    assert resumed == fresh[k], (p, q, k0, k)
+                    (_, count), gaps = _walk((k0, k), p, q)
+                    assert ([count], gaps) == fresh[k], (p, q, k0, k)
 
     def test_locates_a_bigint_at_its_own_level(self):
         # one step per continued-fraction term: a level of about 10**200 is
@@ -447,3 +443,50 @@ class TestLocateForDegree:
             assert br.lower < br.pivot < br.upper
             assert level_index(br.pivot) == k - 3
             assert tree_children(br.pivot) == (br.lower, br.upper)
+
+
+def mirror_cases():
+    """(p, q, ks): F_150 and its one-term and Fibonacci extremes with every
+    degree up to one past the level, and 3/(10**200 + 7) = [a, 1, 2] at the
+    first degrees and around its own level a + 3."""
+    for p, q in iter_farey_pairs(150):
+        if 0 < p < q:
+            yield p, q, range(5, level_index(Fraction(p, q)) + 5)
+    for e in (10, 11, 12, 13):
+        yield 1, 2**e, range(5, 2**e + 5)
+    for p, q in fibonacci_ratios(10**5):
+        yield p, q, range(5, level_index(Fraction(p, q)) + 5)
+    q = 10**200 + 7
+    yield 3, q, [5, 6, 7] + [q // 3 + i for i in range(8)]
+
+
+def mirrored(br):
+    """The bracket of 1 - x from the bracket of x."""
+    if br.pivot is None:
+        return br
+    swap = {
+        BracketSide.LOWER_SUBINTERVAL: BracketSide.UPPER_SUBINTERVAL,
+        BracketSide.UPPER_SUBINTERVAL: BracketSide.LOWER_SUBINTERVAL,
+    }
+    side = swap.get(br.side, br.side)
+    return EnclosingBracket(1 - br.upper, 1 - br.pivot, 1 - br.lower, side)
+
+
+class TestMirrorSymmetry:
+    """x -> 1 - x swaps L and R in the tree, so the descent towards x itself
+    needs no mirror step: its two gaps swap and its counts stay."""
+
+    def test_counts_and_brackets_mirror(self):
+        seen = set()
+        for p, q, ks in mirror_cases():
+            counts, gaps = _walk(ks, p, q)
+            mirror_counts, mirror_gaps = _walk(ks, q - p, q)
+            assert counts == mirror_counts, (p, q)
+            assert mirror_gaps == (None if gaps is None else gaps[::-1]), (p, q)
+            x = Fraction(p, q)
+            for k in ks:
+                br = locate_for_degree(k, x)
+                assert locate_for_degree(k, 1 - x) == mirrored(br), (p, q, k)
+                seen.add((2 * p < q, br.side))
+        # not vacuous: every side is met on both halves of the interval
+        assert seen == {(half, side) for half in (True, False) for side in BracketSide}

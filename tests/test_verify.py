@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-import harosgraph.distribution
 import harosgraph.graphs
+import harosgraph.tree
 import harosgraph.verify
 from harosgraph.errors import ResourceLimitError
 from harosgraph.verify import (
@@ -133,7 +133,7 @@ class TestPlantedBugs:
 
     def test_triple_catches_interval_form(self, monkeypatch):
         plant(
-            monkeypatch, harosgraph.distribution, "_count_at",
+            monkeypatch, harosgraph.tree, "_count_at",
             lambda real: lambda below, above: real(below, above) + 1,
         )
         t = check_triple_equality(20)
