@@ -2,7 +2,8 @@
 
 * ``degree_distribution_oracle``: build the graph explicitly, identify the
   boundary node, count the nodes of each degree.  Exact, and linear in q:
-  the build writes each continued-fraction run of tree steps in one pass.
+  the build writes each continued-fraction run of tree steps in one pass,
+  into a typed array that is counted as it is, never made a tuple.
 * ``cf_form_distribution``: closed form driven by the continued fraction of
   x.  Degrees above 4 appear exactly at the cumulative term sums plus three,
   with multiplicity the denominator of the decremented tail, plus a single
@@ -40,7 +41,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .errors import AmbiguousBreakpointError, NotRationalError, ResourceLimitError
 from .exact import _cf_terms, _degree, _integer, _unit_fraction
-from .graphs import build, identify_boundary, iter_identified_counts
+from .graphs import _degrees, _identified_counts, iter_identified_counts
 from .tree import _parents, _walk
 
 __all__ = [
@@ -102,11 +103,18 @@ class DegreeDistribution:
 
 
 def degree_distribution_oracle(x: Fraction) -> DegreeDistribution:
-    """Distribution by explicit construction: build, identify, over q."""
+    """Distribution by explicit construction: build, identify, over q.
+
+    The degree sequence is the array :func:`graphs._degrees` writes, about
+    one byte per node for golden-ratio x and four for 1/q, counted with no
+    tuple in between; the build cap and its message are those of
+    :func:`graphs.build`.
+    """
     x = _unit_fraction(x, open=False)
-    if x == 0 or x == 1:
-        return DegreeDistribution({}, x.denominator)
-    return DegreeDistribution(identify_boundary(build(x)), x.denominator)
+    p, q = x.numerator, x.denominator
+    if q == 1:  # 0/1 or 1/1
+        return DegreeDistribution({}, q)
+    return DegreeDistribution(_identified_counts(_degrees(p, q)), q)
 
 
 def cf_form_distribution(x: Fraction) -> DegreeDistribution:
@@ -116,7 +124,7 @@ def cf_form_distribution(x: Fraction) -> DegreeDistribution:
     return DegreeDistribution(_cf_form_counts(x.numerator, q), q)
 
 
-def _cf_form_counts(p: int, q: int) -> dict[int, int]:
+def _cf_form_counts(p: int, q: int, top: int | None = None) -> dict[int, int]:
     """Integer core of :func:`cf_form_distribution`: degree -> P(k, p/q)·q.
 
     For coprime 0 < p < q.  Every degree with a positive count is present.
@@ -126,6 +134,11 @@ def _cf_form_counts(p: int, q: int) -> dict[int, int]:
     degree 3 + a_1 + ... + a_l (for 0 < l < m), and the boundary node has
     degree a_1 + ... + a_m + 2.  With p = min(p, q - p) the r_0 - r_1 nodes
     of level 0 are p of degree 2 and q - 2p of degree 3.
+
+    With ``top``, the pass stops after the first degree
+    3 + a_1 + ... + a_l >= top, and the map is complete at every degree
+    <= top only: every later degree is at least one higher, the boundary
+    one too, since the last term is at least 2.
     """
     if 2 * p > q:
         p = q - p
@@ -140,6 +153,8 @@ def _cf_form_counts(p: int, q: int) -> dict[int, int]:
             counts[degree - 1] = 1
             return counts
         counts[degree] = q - p
+        if top is not None and degree >= top:
+            return counts
 
 
 def interval_form_value(k: int, x: Fraction) -> Fraction:
@@ -292,10 +307,11 @@ def sweep(
     come from the in-order concatenation walk
     :func:`graphs.iter_identified_counts`, which keeps each graph's counts
     at the swept degrees only, O(number of degrees) per x; for each x, the
-    continued-fraction form is one Euclid pass, and the interval form one
-    descent on its two gaps for all degrees.  The row cap counts rows, not
-    groups, and is checked before any work, in time and memory of about
-    sqrt(row_cap); with no cap the rows are not counted.
+    continued-fraction form is one Euclid pass that stops at the largest
+    swept degree, and the interval form one descent on its two gaps for
+    all degrees.  The row cap counts rows, not groups, and is checked
+    before any work, in time and memory of about sqrt(row_cap); with no
+    cap the rows are not counted.
     """
     ks = sorted({_degree(k) for k in degrees})
     if not ks:
@@ -310,8 +326,9 @@ def sweep(
                 f"sweep would emit at least {rows} rows; the cap is {row_cap}"
             )
 
+    top = ks[-1]
     for p, q, from_walk in iter_identified_counts(ks, order):
-        from_cf = _cf_form_counts(p, q)
+        from_cf = _cf_form_counts(p, q, top)
         from_tree = _walk(ks, p, q)[0]
         yield p, q, [
             (k, from_cf.get(k, 0), count, built)

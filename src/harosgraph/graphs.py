@@ -4,10 +4,17 @@ A Haros graph is stored as its ordered degree sequence (the graph is
 uniquely determined by it), which keeps the concatenation operator linear
 in the number of nodes.  The two-node seed graph has degrees (1, 1); the
 graph labelled p/q has q + 1 nodes and 2q - 1 edges.
+
+One build core, :func:`_degrees`, writes the sequence run by run into an
+:class:`array.array` of one byte per node (four from level 255 on), and one
+count core, :func:`_identified_counts`, counts a one-byte sequence in C.
+The oracle counts the array directly; :func:`build` hands out an immutable
+tuple of it.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,6 +100,19 @@ def concat(left: HarosGraph, right: HarosGraph) -> HarosGraph:
 def build(x: Fraction) -> HarosGraph:
     """Construct the Haros graph of x in [0, 1] by descending the tree.
 
+    The degrees come from :func:`_degrees`, in linear time, and are handed
+    out as an immutable tuple.  A denominator above
+    :data:`BUILD_MAX_DENOMINATOR` raises :class:`ResourceLimitError`.
+    """
+    x = _unit_fraction(x, open=False)
+    if x.denominator == 1:  # 0/1 or 1/1
+        return initial_graph(x)
+    return HarosGraph(x, tuple(_degrees(x.numerator, x.denominator)))
+
+
+def _degrees(p: int, q: int) -> array:
+    """Ordered degree sequence of the graph of p/q, for coprime 0 < p < q.
+
     Navigation keeps the graphs of the two Farey neighbours of the current
     node: an L step concatenates the left neighbour with the current graph,
     an R step the current graph with the right neighbour.  This makes the
@@ -100,22 +120,28 @@ def build(x: Fraction) -> HarosGraph:
     identical steps is written in one pass that copies each of the two
     graphs it joins once, so the work is linear in the size of the graphs
     the runs end on, which is O(q) in total.
+
+    The sequence is an :class:`array.array` of typecode 'B', one byte per
+    node, when the level a_1 + ... + a_m of p/q is below 255, and 'I'
+    otherwise.  No degree passes the level plus one: the two extremes add
+    up to the boundary degree, the level plus two, and an interior degree
+    is at most 3 + a_1 + ... + a_{m-1}.  A degree that did not fit its cell
+    would raise OverflowError, never wrap.  A denominator above
+    :data:`BUILD_MAX_DENOMINATOR` raises :class:`ResourceLimitError`.
     """
-    x = _unit_fraction(x, open=False)
-    if x.denominator > BUILD_MAX_DENOMINATOR:
+    if q > BUILD_MAX_DENOMINATOR:
         raise ResourceLimitError(
-            f"building {x} needs {x.denominator + 1} node degrees; "
+            f"building {p}/{q} needs {q + 1} node degrees; "
             f"the cap is denominator <= {BUILD_MAX_DENOMINATOR}"
         )
-    if x.denominator == 1:  # 0/1 or 1/1
-        return initial_graph(x)
     # The walk starts on the graph of 1/1 with 0/1 as its left neighbour, so
     # the opening L step concatenates the seeds into the graph of 1/2.  The
     # runs of the descent word are the continued-fraction terms with the
-    # last one less one, L first and the sides alternating.
-    runs = list(_cf_terms(x.numerator, x.denominator))
+    # last one less one, L first and the sides alternating; they add up to
+    # the level less one.
+    runs = list(_cf_terms(p, q))
     runs[-1] -= 1
-    left = cur = right = [1, 1]
+    left = cur = right = array("B" if sum(runs) < 254 else "I", (1, 1))
     for i, count in enumerate(runs):
         # the node one step short of the run's end becomes the new neighbour
         if i % 2 == 0:  # an L run
@@ -124,18 +150,20 @@ def build(x: Fraction) -> HarosGraph:
         else:
             left = _right_steps(cur, right, count - 1)
             cur = _right_steps(left, right, 1)
-    return HarosGraph(x, tuple(cur))
+    return cur
 
 
-def _left_steps(left: list[int], cur: list[int], r: int) -> list[int]:
+def _left_steps(left: array, cur: array, r: int) -> array:
     """Degrees after r L steps: left ⊕ (left ⊕ ... (left ⊕ cur)).
 
     Each step adds one to the first degree of ``left`` and to the last one
     of the running graph, and merges the last node of ``left`` into the
     first node of the running graph, so the copies of ``left`` are joined
-    by nodes of degree left[-1] + left[0] + 1.  Each list is copied once:
-    ``left`` less its last node is repeated in place, only when r > 1, then
-    the whole running list is appended and its two ends are fixed.
+    by nodes of degree left[-1] + left[0] + 1.  Each sequence is copied
+    once, with one C-level copy for each: ``left`` less its last node is
+    repeated in place, only when r > 1, then the whole running sequence is
+    appended and its two ends are fixed.  Lists work as well as arrays of
+    one typecode; the operands are left untouched.
     """
     if not r:
         return cur
@@ -152,12 +180,13 @@ def _left_steps(left: list[int], cur: list[int], r: int) -> list[int]:
     return out
 
 
-def _right_steps(cur: list[int], right: list[int], r: int) -> list[int]:
+def _right_steps(cur: array, right: array, r: int) -> array:
     """Degrees after r R steps: ((cur ⊕ right) ⊕ ...) ⊕ right, the mirror
-    of :func:`_left_steps`.  Each list is copied once: the running list
-    less its last node, then the whole of ``right``, with the merged node
-    fixed; the r - 1 further copies of ``right[1:]``, each ending on a
-    joint, are built only when r > 1 and go in after the merged node."""
+    of :func:`_left_steps`.  Each sequence is copied once: the running
+    sequence less its last node, then the whole of ``right``, with the
+    merged node fixed; the r - 1 further copies of ``right[1:]``, each
+    ending on a joint, are built only when r > 1 and go in after the
+    merged node."""
     if not r:
         return cur
     r0, last = right[0], right[-1]
@@ -185,31 +214,47 @@ def identify_boundary(g: HarosGraph) -> dict[int, int]:
     interval get the all-zero degree distribution by convention instead.
     Anything but a :class:`HarosGraph` raises :class:`NotRationalError`.
 
-    Every node of the sequence is counted.  When every degree is below 256
-    the sequence is copied into a byte string and counted in C, one pass
-    per distinct degree (14 to 20 for golden-ratio graphs of q near 10^5);
-    a larger degree, such as the extreme degree q of 1/q, makes it a
-    :class:`collections.Counter`, one Python-level increment per node.
+    The tuple of degrees is copied into a byte string when every degree is
+    below 256, and counted by :func:`_identified_counts`.
     """
     degrees = _graph(g).degrees
     if len(degrees) < 3:
         raise ValueError("boundary identification is undefined for the seed graph")
     try:
-        rest = bytes(degrees)
+        seq = bytes(degrees)
     except ValueError:  # a degree above 255
-        counts = Counter(degrees)
-    else:
+        seq = degrees
+    return _identified_counts(seq)
+
+
+def _identified_counts(seq: Sequence[int]) -> dict[int, int]:
+    """Degree -> node count of the sequence seq with its two extremes
+    merged into one boundary node, ascending by degree: the count core of
+    :func:`identify_boundary` and of the oracle.
+
+    Every node is counted.  A byte string or an array of typecode 'B' is
+    counted in C, one ``bytes.translate`` pass per distinct degree (14 to
+    20 for golden-ratio graphs of q near 10^5); anything else, such as the
+    'I' array of 1/q, whose extreme degree is q, goes through a
+    :class:`collections.Counter`.
+    """
+    if isinstance(seq, array) and seq.typecode == "B":
+        seq = seq.tobytes()
+    first, last = seq[0], seq[-1]
+    if isinstance(seq, bytes):
         # each pass deletes every node of the first remaining degree, and
         # the drop in length is that degree's count
         counts = {}
+        rest = seq
         while rest:
             n = len(rest)
             degree = rest[0]
             rest = rest.translate(None, rest[:1])
             counts[degree] = n - len(rest)
+    else:
+        counts = Counter(seq)
     # move the two extremes onto their sum; an extreme degree found nowhere
     # else drops to zero
-    first, last = degrees[0], degrees[-1]
     counts[first] -= 1
     counts[last] -= 1
     counts[first + last] = counts.get(first + last, 0) + 1

@@ -63,9 +63,32 @@ class SymbolicPath:
     ``steps`` is the word's length, an int of any size; ``word`` spells it
     out, and raises :class:`ResourceLimitError` above
     :data:`MAX_CF_WORD_STEPS` steps.
+
+    The runs are checked when the path is built: an empty word, a symbol
+    other than L or R, a word that does not start with L and alternate, or
+    a run shorter than one step raises ValueError; a run length that is
+    not an integer raises :class:`NotRationalError`.
     """
 
     runs: tuple[tuple[str, int], ...]
+
+    def __post_init__(self) -> None:
+        runs = []
+        for i, (symbol, count) in enumerate(self.runs):
+            count = _integer(count, "a run length")
+            if count < 1:
+                raise ValueError(f"runs are at least one step long, got {count}")
+            if symbol != LEFT and symbol != RIGHT:
+                raise ValueError(f"descent words are spelled in L and R, got {symbol!r}")
+            if symbol != (LEFT, RIGHT)[i % 2]:
+                raise ValueError(
+                    f"descent words start with L (one L reaches 1/2) and alternate "
+                    f"L and R runs, got an {symbol} run at position {i}"
+                )
+            runs.append((symbol, count))
+        if not runs:
+            raise ValueError("empty descent word")
+        object.__setattr__(self, "runs", tuple(runs))
 
     @property
     def word(self) -> str:
@@ -224,27 +247,17 @@ def replay_path(path: SymbolicPath) -> Fraction:
     narrows hi to the current node, an R step narrows lo.  The walk starts
     on 1/1 with lo = 0/1, so the opening L lands on 1/2.  A run of j L steps
     is taken at once: hi becomes (j - 1) lo + cur and the current node
-    j lo + cur, mediant by mediant; R runs mirror that.  A symbol other
-    than L or R, or a run shorter than one step, raises ValueError; a run
-    length that is not an integer raises :class:`NotRationalError`.
+    j lo + cur, mediant by mediant; R runs mirror that.  The runs were
+    checked when the path was built (:class:`SymbolicPath`).
     """
-    if not path.runs:
-        raise ValueError("empty descent word")
-    if path.runs[0][0] != LEFT:
-        raise ValueError("descent words start with L (one L reaches 1/2)")
     lo, cur, hi = (0, 1), (1, 1), (1, 1)
     for symbol, count in path.runs:
-        count = _integer(count, "a run length")
-        if count < 1:
-            raise ValueError(f"runs are at least one step long, got {count}")
         if symbol == LEFT:
             hi = (cur[0] + (count - 1) * lo[0], cur[1] + (count - 1) * lo[1])
             cur = (hi[0] + lo[0], hi[1] + lo[1])
-        elif symbol == RIGHT:
+        else:
             lo = (cur[0] + (count - 1) * hi[0], cur[1] + (count - 1) * hi[1])
             cur = (lo[0] + hi[0], lo[1] + hi[1])
-        else:
-            raise ValueError(f"descent words are spelled in L and R, got {symbol!r}")
     return Fraction(*cur)
 
 

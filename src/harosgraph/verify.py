@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .distribution import _cf_form_counts, cf_form_distribution
 from .errors import ResourceLimitError
 from .exact import _cf_terms, _integer, continuant, suffix_continuants
-from .graphs import build, identify_boundary
+from .graphs import _degrees, _identified_counts, build
 from .tree import (
     LEFT,
     RIGHT,
@@ -227,7 +227,7 @@ def check_triple_equality(order: int) -> Tally:
         if p == 0 or p == q:
             continue
         x = Fraction(p, q)
-        by_graph = identify_boundary(build(x))
+        by_graph = _identified_counts(_degrees(p, q))
         by_cf = _cf_form_counts(p, q)
         t.check(
             by_graph == by_cf,
@@ -263,7 +263,7 @@ def check_descent_recurrences(min_level: int, max_level: int) -> Tally:
     min_level = _integer(min_level, "a tree level")
     max_level = _integer(max_level, "a tree level")
     t = Tally("descent-recurrences")
-    counts_of = functools.cache(lambda p, q: identify_boundary(build(Fraction(p, q))))
+    counts_of = functools.cache(lambda p, q: _identified_counts(_degrees(p, q)))
     for levels in range(min_level, max_level + 1):
         for x in tree_level(levels).fractions:
             p, q = x.numerator, x.denominator

@@ -1,6 +1,9 @@
 """The three distribution routes and the sweep harness."""
 
 import dataclasses
+import math
+import os
+import sys
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import harosgraph
 from harosgraph.distribution import (
     ROW_COUNT_MAX_SIEVE,
     DegreeDistribution,
@@ -315,7 +319,8 @@ def test_non_graph_input_is_a_package_type_error_naming_its_type(call, expected)
 
 # A zero denominator used to build a distribution whose probability(2) and
 # total() raised ZeroDivisionError; a repeated degree would have lost its
-# walk slot; replay_path read any symbol but L as R (L X^2 gave 3/4)
+# walk slot; replay_path read any symbol but L as R (L X^2 gave 3/4); a
+# hand-built SymbolicPath spelled any runs (X^2 L^True was 'XXL', 3 steps)
 @pytest.mark.parametrize(
     "call",
     [
@@ -325,11 +330,17 @@ def test_non_graph_input_is_a_package_type_error_naming_its_type(call, expected)
         lambda: list(iter_identified_counts([2, 2], 1)),
         lambda: replay_path(SymbolicPath((("L", 1), ("X", 2)))),
         lambda: replay_path(SymbolicPath((("L", 1), ("l", 2)))),
+        lambda: SymbolicPath((("X", 2), ("L", True))),
+        lambda: SymbolicPath((("L", 1), ("L", 2))),
+        lambda: SymbolicPath((("R", 2),)),
+        lambda: SymbolicPath(()),
     ],
     ids=[
         "DegreeDistribution(0)", "DegreeDistribution(-2)",
         "iter_identified_counts([5, 6, 5])", "iter_identified_counts([2, 2], 1)",
         "replay_path(X^2)", "replay_path(l^2)",
+        "SymbolicPath(X^2 L^True)", "SymbolicPath(L L^2)", "SymbolicPath(R^2)",
+        "SymbolicPath()",
     ],
 )
 def test_out_of_range_denominator_or_repeated_degree_is_a_value_error(call):
@@ -337,10 +348,78 @@ def test_out_of_range_denominator_or_repeated_degree_is_a_value_error(call):
         call()
 
 
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def _oracle_peak_bytes(x):
+    """The tracemalloc peak of one oracle call, above what was held before."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        degree_distribution_oracle(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before
+
+
+def _oracle_lines(x):
+    """Python lines one oracle call executes in harosgraph frames."""
+    package = os.path.dirname(harosgraph.__file__)
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(package) else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        degree_distribution_oracle(x)
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
 class TestDegreeDistributionOracle:
     def test_endpoints_are_empty(self):
         assert degree_distribution_oracle(Fraction(0)).entries == {}
         assert degree_distribution_oracle(Fraction(1)).entries == {}
+
+    # One huge term (1/(2^e + 1), a four-byte array) and many terms of 1
+    # (F_(n-1)/F_n, one byte per node)
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [Fraction(1, 2**e + 1) for e in range(12, 16)],
+            [Fraction(_fibonacci(n - 1), _fibonacci(n)) for n in range(20, 24)],
+        ],
+        ids=["one-term", "fibonacci"],
+    )
+    def test_cost_is_linear_in_q_and_run_at_a_time(self, xs):
+        # Memory is work done in C: at most 12 bytes per node, growing at
+        # most 2.2 times per doubling of q.  Python lines are work done per
+        # run: the same for every 1/q, and at most 40 more per added term.
+        peaks = [_oracle_peak_bytes(x) for x in xs]
+        qs = [x.denominator for x in xs]
+        for x, peak in zip(xs, peaks):
+            assert peak <= 12 * (x.denominator + 1), (x, peak)
+        for (q0, p0), (q1, p1) in zip(zip(qs, peaks), zip(qs[1:], peaks[1:])):
+            assert p1 / p0 <= 2.2 ** math.log2(q1 / q0), (q0, p0, q1, p1)
+        lines = [_oracle_lines(x) for x in xs]
+        terms = [len(cf_expand(x)) for x in xs]
+        if len(set(terms)) == 1:
+            assert len(set(lines)) == 1, lines
+        for (m0, l0), (m1, l1) in zip(zip(terms, lines), zip(terms[1:], lines[1:])):
+            assert l1 - l0 <= 40 * (m1 - m0), (m0, l0, m1, l1)
 
     def test_worked_values(self):
         assert degree_distribution_oracle(Fraction(10, 23)).entries == {
@@ -534,6 +613,19 @@ class TestCfFormCounts:
             if 0 < p < q:
                 oracle = identify_boundary(build(Fraction(p, q)))
                 assert _cf_form_counts(p, q) == oracle, (p, q)
+
+    @pytest.mark.parametrize("top", [2, 5, 8, 13, 40])
+    def test_cut_at_top_keeps_every_degree_up_to_it(self, top):
+        # the sweep stops the pass at its largest degree; on the last step
+        # the boundary degree, one below the term sum plus 3, can be top
+        # itself (1/3 at top 5), so it is recorded before the cut
+        xs = [(p, q) for p, q in iter_farey_pairs(200) if 0 < p < q]
+        xs += [(1, 2**j) for j in range(1, 12)] + [(2**j - 1, 2**j) for j in range(2, 12)]
+        xs += list(fibonacci_ratios(10**5)) + [(3, 10**200 + 7), (10**200 + 4, 10**200 + 7)]
+        for p, q in xs:
+            full, cut = _cf_form_counts(p, q), _cf_form_counts(p, q, top)
+            assert cut.items() <= full.items(), (p, q)
+            assert {k: m for k, m in full.items() if k <= top}.items() <= cut.items(), (p, q)
 
     @pytest.mark.parametrize(
         "p, q", [(3, 10**200 + 7), (10**200 + 4, 10**200 + 7), (317811, 514229)]

@@ -1,5 +1,6 @@
 """Explicit graph construction: concatenation, builds, boundary counts."""
 
+from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from harosgraph.distribution import cf_form_distribution
+from harosgraph.distribution import cf_form_distribution, degree_distribution_oracle
 from harosgraph.errors import AdjacencyError, ResourceLimitError
 from harosgraph.graphs import (
     HarosGraph,
+    _degrees,
+    _identified_counts,
     _left_steps,
     _right_steps,
     build,
@@ -19,7 +22,7 @@ from harosgraph.graphs import (
     initial_graph,
     iter_identified_counts,
 )
-from harosgraph.tree import iter_farey_pairs, symbolic_path
+from harosgraph.tree import iter_farey_pairs, level_index, symbolic_path
 
 
 def unit_fractions(max_den=200):
@@ -132,16 +135,60 @@ class TestBuild:
                 cur, left = concat(cur, right), cur
         return cur
 
+    @classmethod
+    def assert_matches_stepwise(cls, x):
+        # the public build and the array core behind it, against the fold;
+        # the array is one byte per node below level 255
+        expected = cls.stepwise(x)
+        assert build(x) == expected
+        seq = _degrees(x.numerator, x.denominator)
+        assert seq.typecode == ("B" if level_index(x) < 255 else "I")
+        assert tuple(seq) == expected.degrees
+        # no degree passes the level plus one, which the typecode relies on
+        assert max(seq) <= level_index(x) + 1
+
     def test_matches_stepwise_navigation(self):
         for p, q in iter_farey_pairs(200):
             if 0 < p < q:
-                x = Fraction(p, q)
-                assert build(x) == self.stepwise(x)
+                self.assert_matches_stepwise(Fraction(p, q))
 
     @pytest.mark.parametrize("x", ADVERSARIAL, ids=str)
     def test_matches_stepwise_navigation_adversarial(self, x):
-        assert build(x) == self.stepwise(x)
-        assert build(1 - x) == self.stepwise(1 - x)
+        self.assert_matches_stepwise(x)
+        self.assert_matches_stepwise(1 - x)
+
+    # 1/254 and 2/505 (level 254, a degree of 255) fill a one-byte cell;
+    # 1/255 and 2/507 (level 255, degrees 255 and 256) take four
+    @pytest.mark.parametrize(
+        "x, typecode, top",
+        [(Fraction(1, 254), "B", 254), (Fraction(2, 505), "B", 255),
+         (Fraction(1, 255), "I", 255), (Fraction(2, 507), "I", 256)],
+        ids=str,
+    )
+    def test_one_byte_width_edge(self, x, typecode, top):
+        for y in (x, 1 - x):
+            seq = _degrees(y.numerator, y.denominator)
+            assert (seq.typecode, max(seq)) == (typecode, top)
+            assert tuple(seq) == self.stepwise(y).degrees
+
+    def test_degree_past_its_cell_raises(self):
+        # an array refuses a value past its width; it never wraps to 0
+        with pytest.raises(OverflowError):
+            _left_steps(array("B", (1, 1)), array("B", (1, 255)), 1)
+
+    def test_degrees_are_a_tuple(self):
+        for x in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 505),
+                  Fraction(2, 507), Fraction(46368, 75025)):
+            assert type(build(x).degrees) is tuple
+
+    def test_build_and_oracle_share_the_cap(self):
+        x = Fraction(3, 10**7 + 1)
+        with pytest.raises(ResourceLimitError) as by_build:
+            build(x)
+        with pytest.raises(ResourceLimitError) as by_oracle:
+            degree_distribution_oracle(x)
+        assert str(by_build.value) == str(by_oracle.value)
+        assert f"building {x} needs {10**7 + 2} node degrees" in str(by_build.value)
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3, 7])
     def test_run_steps_match_repeated_concat(self, r):
@@ -207,6 +254,9 @@ class TestIdentifyBoundary:
             counts = identify_boundary(g)
             assert counts == _counter_reference(degrees)
             assert list(counts) == sorted(counts)
+            # the oracle counts the build's array itself
+            seq = _degrees(x.numerator, x.denominator)
+            assert list(_identified_counts(seq).items()) == list(counts.items())
 
     def test_worked_multisets(self):
         assert identify_boundary(build(Fraction(1, 2))) == {2: 1, 4: 1}
