@@ -233,8 +233,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     count = 0
     worst = Fraction(0)
     # Most rows of a sweep are zero in all three columns: their CSV tail after
-    # the prefix depends on k alone
+    # the prefix depends on k alone.  A third of the x have only such rows, and
+    # their group is the prefix joined to the prebuilt tails.
     zero_tails = {k: "%d,0,1,0,1,0,1\n" % k for k in args.k}
+    zero_rows = [(k, 0, 0, 0) for k in args.k]
+    zero_group = ["", *zero_tails.values()]
     try:
         handle = open(tmp_path, "w", newline="")
     except OSError as exc:
@@ -244,14 +247,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             handle.write(SWEEP_CSV_HEADER + "\n" if as_csv else "[")
             separator = "\n"  # before each JSON record; ",\n" after the first
             for p, q, rows in sweep(args.k, args.order, row_cap=args.max_rows):
+                count += len(rows)
                 x_float = p / q
-                prefix = f"{p},{q},{x_float:.17g},"
-                lines = []
+                # each x is written as one string: the CSV prefix joins the
+                # row tails, the JSON records stand whole
+                prefix = f"{p},{q},{x_float:.17g}," if as_csv else ""
+                if as_csv and rows == zero_rows:
+                    handle.write(prefix.join(zero_group))
+                    continue
+                tails = [""]
                 for k, a, b, c in rows:
                     # each count over q in lowest terms: numerator, denominator
                     if a == b == c:
-                        if not a and as_csv:
-                            lines.append(prefix + zero_tails[k])
+                        if as_csv:
+                            # one cell, written three times
+                            if a:
+                                cell = "%d,%d" % (a // (g := gcd(a, q)), q // g)
+                                tails.append(f"{k},{cell},{cell},{cell}\n")
+                            else:
+                                tails.append(zero_tails[k])
                             continue
                         num, den = a // (g := gcd(a, q)), q // g
                         cells = (k, num, den, num, den, num, den)
@@ -265,12 +279,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                             c // (g := gcd(c, q)), q // g,
                         )
                     if as_csv:
-                        lines.append(prefix + "%d,%d,%d,%d,%d,%d,%d\n" % cells)
+                        tails.append("%d,%d,%d,%d,%d,%d,%d\n" % cells)
                     else:
-                        lines.append(separator + SWEEP_JSON_RECORD % ((p, q, x_float) + cells))
+                        tails.append(separator + SWEEP_JSON_RECORD % ((p, q, x_float) + cells))
                         separator = ",\n"
-                handle.write("".join(lines))
-                count += len(rows)
+                handle.write(prefix.join(tails))
             if not as_csv:
                 handle.write("\n]\n" if count else "]\n")
         os.replace(tmp_path, out_path)

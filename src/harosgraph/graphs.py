@@ -7,13 +7,15 @@ graph labelled p/q has q + 1 nodes and 2q - 1 edges.
 
 One build core, :func:`_degrees`, writes the sequence run by run into an
 :class:`array.array` of one byte per node (four from level 255 on), and one
-count core, :func:`_identified_counts`, counts a one-byte sequence in C.
-The oracle counts the array directly; :func:`build` hands out an immutable
-tuple of it.
+count core, :func:`_identified_counts`, counts it in C whenever its interior
+degrees fit in a byte, as they do for every array of 1/q; only the two
+extremes, merged into the boundary node, are added in Python.  The oracle
+counts the array directly; :func:`build` hands out an immutable tuple of it.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -232,33 +234,43 @@ def _identified_counts(seq: Sequence[int]) -> dict[int, int]:
     merged into one boundary node, ascending by degree: the count core of
     :func:`identify_boundary` and of the oracle.
 
-    Every node is counted.  A byte string or an array of typecode 'B' is
-    counted in C, one ``bytes.translate`` pass per distinct degree (14 to
-    20 for golden-ratio graphs of q near 10^5); anything else, such as the
-    'I' array of 1/q, whose extreme degree is q, goes through a
+    The interior seq[1:-1] is counted in C when every interior degree is
+    below 256, one ``bytes.translate`` pass per distinct degree (14 to 20
+    for golden-ratio graphs of q near 10^5): a byte string as it is, an
+    array through the low byte of each cell.  The extremes go in by hand,
+    as one node of degree seq[0] + seq[-1], so the 'I' array of 1/q, whose
+    extreme degree is q, is counted in C too.  Anything else, such as an
+    array with an interior degree above 255 or a tuple, goes through a
     :class:`collections.Counter`.
     """
-    if isinstance(seq, array) and seq.typecode == "B":
-        seq = seq.tobytes()
-    first, last = seq[0], seq[-1]
-    if isinstance(seq, bytes):
+    if isinstance(seq, array):
+        size = seq.itemsize
+        raw = seq.tobytes()
+        # the low byte of each cell from the second to the last but one
+        start = size if sys.byteorder == "little" else 2 * size - 1
+        inner = raw[start:-size:size]
+        # between the extremes raw holds size - 1 high bytes for each low
+        # byte; they are all zero exactly when it has that many more zero
+        # bytes than inner
+        if size > 1 and raw.count(0, size, -size) != (size - 1) * len(inner) + inner.count(0):
+            inner = seq[1:-1]  # an interior degree above 255
+        del raw  # not held through the counting passes
+    else:
+        inner = seq[1:-1]
+    if isinstance(inner, bytes):
         # each pass deletes every node of the first remaining degree, and
         # the drop in length is that degree's count
         counts = {}
-        rest = seq
-        while rest:
-            n = len(rest)
-            degree = rest[0]
-            rest = rest.translate(None, rest[:1])
-            counts[degree] = n - len(rest)
+        while inner:
+            n = len(inner)
+            degree = inner[0]
+            inner = inner.translate(None, inner[:1])
+            counts[degree] = n - len(inner)
     else:
-        counts = Counter(seq)
-    # move the two extremes onto their sum; an extreme degree found nowhere
-    # else drops to zero
-    counts[first] -= 1
-    counts[last] -= 1
-    counts[first + last] = counts.get(first + last, 0) + 1
-    return {k: m for k, m in sorted(counts.items()) if m}
+        counts = Counter(inner)
+    boundary = seq[0] + seq[-1]
+    counts[boundary] = counts.get(boundary, 0) + 1
+    return dict(sorted(counts.items()))
 
 
 def iter_identified_counts(

@@ -348,15 +348,17 @@ def _walk(ks: Sequence[int], p: int, q: int) -> tuple[list[int], tuple[int, int]
     For coprime 0 < p < q and ascending int degrees ks >= 5, unchecked: the
     public entry points check their degrees (through :func:`exact._degree`).
     The descent keeps the gaps below = p·b - q·a and above = q·c - p·d to
-    the current Farey parents a/b < p/q < c/d, from 0/1 and 1/1.  Each L or
-    R run is one step of Euclid's algorithm on the gaps, cut short at the
-    pivot level k - 3 of the next degree, where :func:`_count_at` reads the
-    count; the descent resumes from there.  Equal gaps with levels still to
-    go mean p/q lies above that pivot level, so this degree and every later
-    one count 0.  Under x -> 1 - x the tree swaps L and R, so the gaps swap
-    and the counts stay.  Returns (counts, gaps): the counts in the order
-    of ks, and the last degree's (below, above), or None when p/q is too
-    shallow for it.  The cost is O(m + len(ks)) for p/q = [a_1, ..., a_m].
+    the current Farey parents a/b < p/q < c/d, from 0/1 and 1/1.  Each L
+    run (above > below) or R run (below > above) is one step of Euclid's
+    algorithm on the gaps, taken in one branch: the whole run when the
+    next degree's pivot level k - 3 lies past its end, else cut short at
+    that level, where :func:`_count_at` reads the count and the descent
+    resumes.  Equal gaps with levels still to go mean p/q lies above that
+    pivot level, so this degree and every later one count 0.  Under
+    x -> 1 - x the tree swaps L and R, so the gaps swap and the counts
+    stay.  Returns (counts, gaps): the counts in the order of ks, and the
+    last degree's (below, above), or None when p/q is too shallow for it.
+    The cost is O(m + len(ks)) for p/q = [a_1, ..., a_m].
     """
     below, above = p, q - p
     walked = 5
@@ -364,19 +366,25 @@ def _walk(ks: Sequence[int], p: int, q: int) -> tuple[list[int], tuple[int, int]
     for k in ks:
         steps = k - walked
         # Both gaps stay positive.  The node after an L run of j is
-        # (j*a + c)/(j*b + d), still above p/q while j*below < above; an R
-        # run mirrors that, so a descent takes one iteration per
-        # continued-fraction term.  Equal gaps mean the next node is p/q.
-        while steps and below != above:
+        # (j*a + c)/(j*b + d), still above p/q while j*below < above, so a
+        # whole run leaves 0 < above <= below; an R run mirrors that, and a
+        # descent takes one iteration per continued-fraction term.
+        while steps:
             if above > below:
-                run = min((above - 1) // below, steps)
+                run = (above - 1) // below
+                if run >= steps:
+                    above -= steps * below
+                    break
                 above -= run * below
-            else:
-                run = min((below - 1) // above, steps)
+            elif below > above:
+                run = (below - 1) // above
+                if run >= steps:
+                    below -= steps * above
+                    break
                 below -= run * above
+            else:  # the next node is p/q
+                return counts + [0] * (len(ks) - len(counts)), None
             steps -= run
-        if steps:
-            return counts + [0] * (len(ks) - len(counts)), None
         walked = k
         counts.append(_count_at(below, above))
     return counts, (below, above)

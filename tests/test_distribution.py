@@ -367,8 +367,8 @@ def _oracle_peak_bytes(x):
     return peak - before
 
 
-def _oracle_lines(x):
-    """Python lines one oracle call executes in harosgraph frames."""
+def _python_lines(call, *args):
+    """Python lines call(*args) executes in harosgraph frames."""
     package = os.path.dirname(harosgraph.__file__)
     lines = 0
 
@@ -383,7 +383,7 @@ def _oracle_lines(x):
     previous = sys.gettrace()
     sys.settrace(calls)
     try:
-        degree_distribution_oracle(x)
+        call(*args)
     finally:
         sys.settrace(previous)
     return lines
@@ -414,7 +414,7 @@ class TestDegreeDistributionOracle:
             assert peak <= 12 * (x.denominator + 1), (x, peak)
         for (q0, p0), (q1, p1) in zip(zip(qs, peaks), zip(qs[1:], peaks[1:])):
             assert p1 / p0 <= 2.2 ** math.log2(q1 / q0), (q0, p0, q1, p1)
-        lines = [_oracle_lines(x) for x in xs]
+        lines = [_python_lines(degree_distribution_oracle, x) for x in xs]
         terms = [len(cf_expand(x)) for x in xs]
         if len(set(terms)) == 1:
             assert len(set(lines)) == 1, lines
@@ -575,6 +575,29 @@ class TestIntervalFormCounts:
         # every deeper pivot level is past it
         assert _walk([5, 6, 7, 8, 40], 1, 4) == ([0, 1, 0, 0, 0], None)
         assert _walk([9, 30], 1, 4) == ([0, 0], None)
+
+    def test_cost_is_one_iteration_per_run(self):
+        # Python lines are work per run.  Fibonacci ratios of m terms, one
+        # step per run, at the boundary degree m + 3: at most 2.2 times more
+        # per doubling of m.
+        lines = []
+        for m in (20, 40, 80, 160, 320):
+            p, q = _fibonacci(m + 1), _fibonacci(m + 2)
+            assert len(cf_expand(Fraction(p, q))) == m
+            assert _walk((m + 3,), p, q)[0] == [1]
+            lines.append(_python_lines(_walk, (m + 3,), p, q))
+        for l0, l1 in zip(lines, lines[1:]):
+            assert l1 <= 2.2 * l0, lines
+        # One bigint run: the same lines wherever the descent stops in it,
+        # and whether that is one step short of the run's end or at it; the
+        # first run of 2/(2·10^200 + 1) = [10^200, 2] ends at degree end
+        q = 10**200 + 7
+        lines = {_python_lines(_walk, (k,), 1, q) for k in (10, 10**2, 10**3, 10**4)}
+        assert len(lines) == 1, lines
+        end = 10**200 + 4
+        lines |= {_python_lines(_walk, (k,), 2, 2 * 10**200 + 1) for k in (end - 1, end)}
+        assert _walk((end - 1, end), 2, 2 * 10**200 + 1) == ([1, 1], (2, 1))
+        assert len(lines) == 1, lines
 
     def test_subsets_of_degrees_share_the_walk(self):
         # skipping degrees must not change the ones asked for

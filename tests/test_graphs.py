@@ -1,13 +1,16 @@
 """Explicit graph construction: concatenation, builds, boundary counts."""
 
+import sys
 from array import array
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from harosgraph import graphs
 from harosgraph.distribution import cf_form_distribution, degree_distribution_oracle
 from harosgraph.errors import AdjacencyError, ResourceLimitError
 from harosgraph.graphs import (
@@ -242,6 +245,21 @@ COUNTING_PATH_CASES = {
     ),
 }
 
+# The oracle counts its array's interior in C, through the low byte of each
+# cell, when every interior degree is below 256, and by a Counter otherwise.
+# 1/q from q = 255 on is a four-byte array with interior degrees 2 and 3;
+# 256 and 65536 have a zero low byte, so only their high bytes show them.
+ARRAY_COUNT_CASES = {
+    "1/254": (lambda: _degrees(1, 254), "bytes"),  # one byte per node
+    "1/255": (lambda: _degrees(1, 255), "bytes"),
+    "1/256": (lambda: _degrees(1, 256), "bytes"),
+    "1/4096": (lambda: _degrees(1, 4096), "bytes"),
+    "1/100000": (lambda: _degrees(1, 10**5), "bytes"),
+    "2/507": (lambda: _degrees(2, 507), "Counter"),  # an interior degree of 256
+    "2/601": (lambda: _degrees(2, 601), "Counter"),  # an interior degree of 303
+    "hand-built": (lambda: array("I", [7, 256, 3, 65536, 2, 9]), "Counter"),
+}
+
 
 class TestIdentifyBoundary:
     @pytest.mark.parametrize("case", list(COUNTING_PATH_CASES))
@@ -257,6 +275,33 @@ class TestIdentifyBoundary:
             # the oracle counts the build's array itself
             seq = _degrees(x.numerator, x.denominator)
             assert list(_identified_counts(seq).items()) == list(counts.items())
+
+    @pytest.mark.parametrize("case", list(ARRAY_COUNT_CASES))
+    def test_array_interior_is_counted_in_c_when_it_fits_a_byte(self, case, monkeypatch):
+        make, path = ARRAY_COUNT_CASES[case]
+        seq = make()
+        expected = _counter_reference(seq)
+        counters = []
+
+        def counter(items):
+            counters.append(items)
+            return Counter(items)
+
+        monkeypatch.setattr(graphs, "Counter", counter)
+        counts = _identified_counts(seq)
+        assert counts == expected
+        assert list(counts) == sorted(counts)
+        assert ("Counter" if counters else "bytes") == path
+
+    def test_big_endian_cells_are_read_at_their_last_byte(self, monkeypatch):
+        seq = _degrees(1, 4096)
+        swapped = array("I", seq)
+        swapped.byteswap()
+        other = "big" if sys.byteorder == "little" else "little"
+        monkeypatch.setattr(graphs, "sys", SimpleNamespace(byteorder=other))
+        expected = Counter(seq[1:-1])
+        expected[swapped[0] + swapped[-1]] += 1
+        assert _identified_counts(swapped) == dict(sorted(expected.items()))
 
     def test_worked_multisets(self):
         assert identify_boundary(build(Fraction(1, 2))) == {2: 1, 4: 1}
