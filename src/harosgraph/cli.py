@@ -4,20 +4,24 @@ Subcommands: cf | build | dist | sweep | verify.  Exit codes: 0 success,
 1 verification failure, 2 usage or parse error, 3 resource cap, 4 strict
 cross-method mismatch.  All output is deterministic; there is no randomness
 anywhere in the toolchain.
+
+Importing this module and building its parser loads only what every command
+needs: the three routes, and the suite names and caps from
+:mod:`harosgraph.limits`.  A command that alone needs ``json``, ``csv`` or
+the verify suites imports them when it runs, so ``dist`` and ``sweep``
+never load them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import json
 import os
 import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
 
 from .distribution import (
     DEFAULT_ROW_CAP,
@@ -30,8 +34,8 @@ from .distribution import (
 from .errors import ResourceLimitError
 from .exact import cf_expand, convergents
 from .graphs import build, identify_boundary
+from .limits import MAX_VERIFY_LEVELS, MAX_VERIFY_ORDER, SUITES
 from .tree import level_index, symbolic_path
-from .verify import MAX_VERIFY_LEVELS, MAX_VERIFY_ORDER, SUITES, run_verification
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -144,6 +148,8 @@ def _cmd_cf(args: argparse.Namespace) -> int:
             "level": level_index(x),
         }
     if args.format == "json":
+        import json
+
         print(json.dumps(report, indent=2))
     else:
         for key, value in report.items():
@@ -161,6 +167,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
     identified = identify_boundary(g) if interior else None
     note = None if interior else "P(k,0) = P(k,1) = 0 by convention"
     if args.format == "json":
+        import json
+
         payload = {
             "label": _fmt(x),
             "nodes": g.node_count,
@@ -174,6 +182,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
             payload["note"] = note
         print(json.dumps(payload, indent=2))
     else:
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["section", "key", "value"])
         writer.writerow(["summary", "label", _fmt(x)])
@@ -208,17 +218,24 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         columns["oracle"] = degree_distribution_oracle(x)
     # every route counts nodes over the same q = x.denominator
     counts = [dist.counts for dist in columns.values()]
+    over_q = f"/{q}"
     mismatch = False
     lines = ["  ".join(["k", *columns] + (["match"] if method == "all" else []))]
     for k in sorted(set().union(*counts)):
         row = [c.get(k, 0) for c in counts]
-        # each count over q in lowest terms, as _fmt writes a Fraction
-        cells = [str(k), *(f"{m // (g := gcd(m, q))}/{q // g}" for m in row)]
+        agree = len(set(row)) == 1  # one column, or all three equal
+        # each count over q in lowest terms, as _fmt writes a Fraction: a
+        # count coprime to q as it stands; an agreeing row's cell once
+        cells = [
+            f"{m}{over_q}" if (g := gcd(m, q)) == 1 else f"{m // g}/{q // g}"
+            for m in (row[:1] if agree else row)
+        ]
+        if agree:
+            cells *= len(row)
         if method == "all":
-            agree = len(set(row)) == 1
             mismatch = mismatch or not agree
             cells.append("ok" if agree else "MISMATCH")
-        lines.append("  ".join(cells))
+        lines.append(f"{k}  " + "  ".join(cells))
     sys.stdout.write("\n".join(lines) + "\n")
     if method == "all" and mismatch and args.strict:
         print("error: methods disagree", file=sys.stderr)
@@ -302,7 +319,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def run_verification(suite: str, order: int, levels: int):
+    """:func:`harosgraph.verify.run_verification`, loaded on the first call."""
+    from .verify import run_verification
+
+    return run_verification(suite, order, levels)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
+    import json
+
     manifest, tallies = run_verification(args.suite, args.order, args.levels)
     for tally in tallies:
         print(

@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import numbers
 import sys
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
 
 from .errors import AmbiguousBreakpointError, NotRationalError, ResourceLimitError
 from .exact import _cf_terms, _degree, _integer, _unit_fraction

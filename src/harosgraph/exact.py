@@ -10,9 +10,9 @@ convergents, and Euler's continuant polynomials.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
 
 from .errors import NotRationalError
 

@@ -18,10 +18,10 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Iterator, Sequence
 
 from .errors import AdjacencyError, NotRationalError, ResourceLimitError
 from .exact import _cf_terms, _integer, _unit_fraction
@@ -217,7 +217,11 @@ def identify_boundary(g: HarosGraph) -> dict[int, int]:
     Anything but a :class:`HarosGraph` raises :class:`NotRationalError`.
 
     The tuple of degrees is copied into a byte string when every degree is
-    below 256, and counted by :func:`_identified_counts`.
+    below 256, and into a four-byte array otherwise, and counted by
+    :func:`_identified_counts`: in C either way, unless an interior degree
+    passes 255.  So the graph of 1/q, whose extreme degree q is its only
+    wide one, is counted in C for every q.  Only a degree that fits no
+    four-byte cell, as in a hand-built graph, leaves the tuple as it is.
     """
     degrees = _graph(g).degrees
     if len(degrees) < 3:
@@ -225,7 +229,10 @@ def identify_boundary(g: HarosGraph) -> dict[int, int]:
     try:
         seq = bytes(degrees)
     except ValueError:  # a degree above 255
-        seq = degrees
+        try:
+            seq = array("I", degrees)
+        except OverflowError:  # a degree above 2^32 - 1
+            seq = degrees
     return _identified_counts(seq)
 
 

@@ -14,10 +14,10 @@ neither the closed form (thm1) nor the oracle.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 from .errors import AdjacencyError, ResourceLimitError
 from .exact import _cf_terms, _degree, _integer, _unit_fraction

@@ -3,7 +3,10 @@ in bulk over Farey sequences and tree levels.
 
 Each check function walks a family of cases, tallies exact pass/fail
 counts, and records the first counterexample as plain fractions.  The CLI
-``verify`` command and the acceptance tests both run these.
+``verify`` command and the acceptance tests both run these; the CLI loads
+this module only when a ``verify`` command runs.  The suite names and the
+caps on order and levels are defined in :mod:`harosgraph.limits`, which the
+parser reads, and are the same objects here.
 """
 
 from __future__ import annotations
@@ -11,15 +14,16 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import time
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .distribution import _cf_form_counts, cf_form_distribution
 from .errors import ResourceLimitError
 from .exact import _cf_terms, _integer, continuant, suffix_continuants
 from .graphs import _degrees, _identified_counts, build
+from .limits import MAX_VERIFY_LEVELS, MAX_VERIFY_ORDER, SUITES
 from .tree import (
     LEFT,
     RIGHT,
@@ -52,11 +56,6 @@ __all__ = [
     "run_verification",
     "term_grid",
 ]
-
-SUITES = ("all", "identities", "recurrences", "triple", "corollary")
-
-MAX_VERIFY_ORDER = 1000
-MAX_VERIFY_LEVELS = 16
 
 # Fixed seed for the randomised identity grid: repeated runs are identical.
 RANDOM_GRID_SEED = 94340
@@ -404,7 +403,8 @@ def check_conservation(order: int) -> Tally:
 
 
 def _now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    """The current UTC time to the second, as ``2026-01-01T00:00:00+00:00``."""
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 def run_verification(

@@ -155,6 +155,24 @@ class TestDist:
         )
         assert err == "error: methods disagree\n"
 
+    def test_every_cell_is_reduced(self, capsys, monkeypatch):
+        # counts over q = 4: an agreeing row and a disagreeing one each
+        # reduce every cell, and a count coprime to q stands as it is
+        monkeypatch.setattr(
+            cli, "interval_form_distribution",
+            lambda x: cli.DegreeDistribution({2: 2, 3: 2}, 4),
+        )
+        code, out, _ = run(capsys, "dist", "1/4", "--method", "all")
+        assert code == 0
+        assert out == (
+            "k  thm1  thm2  oracle  match\n"
+            "2  1/4  1/2  1/4  MISMATCH\n"
+            "3  1/2  1/2  1/2  ok\n"
+            "6  1/4  0/1  1/4  MISMATCH\n"
+        )
+        code, out, _ = run(capsys, "dist", "1/4", "--method", "oracle")
+        assert out == "k  oracle\n2  1/4\n3  1/2\n6  1/4\n"
+
     # the same digests are checked on `python -m harosgraph.cli dist` in CI
     @pytest.mark.parametrize(
         "fraction, method, digest",

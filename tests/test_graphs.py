@@ -230,14 +230,19 @@ def _counter_reference(degrees):
     return {k: m for k, m in sorted(counts.items()) if m}
 
 
-# identify_boundary counts a byte string when every degree is below 256 and
-# a Counter otherwise; each case names the path its graphs take.
+# identify_boundary counts a built graph in C, as a byte string or through
+# the low bytes of a four-byte array, unless an interior degree passes 255,
+# whatever its extremes: 1/q has the extreme degree q.  Each case names the
+# path its graphs take.
 COUNTING_PATH_CASES = {
     "1/254": ([Fraction(1, 254)], "bytes"),
     "1/255": ([Fraction(1, 255)], "bytes"),  # extreme degree 255
-    "1/256": ([Fraction(1, 256)], "Counter"),  # extreme degree 256
+    "1/256": ([Fraction(1, 256)], "bytes"),  # extreme degree 256
+    "1/4096": ([Fraction(1, 4096)], "bytes"),
+    "1/100000": ([Fraction(1, 10**5)], "bytes"),
     "2/507": ([Fraction(2, 507)], "Counter"),  # an interior degree of 256
     "2/509": ([Fraction(2, 509)], "Counter"),  # an interior degree of 257
+    "2/601": ([Fraction(2, 601)], "Counter"),  # an interior degree of 303
     "46368/75025": ([Fraction(46368, 75025)], "bytes"),
     "F_60": (
         [Fraction(p, q) for p, q in iter_farey_pairs(60) if 0 < p < q],
@@ -261,15 +266,30 @@ ARRAY_COUNT_CASES = {
 }
 
 
+def _recording_counter(monkeypatch):
+    """Replace graphs.Counter by one that records each call; the list of
+    calls is returned."""
+    calls = []
+
+    def counter(items):
+        calls.append(items)
+        return Counter(items)
+
+    monkeypatch.setattr(graphs, "Counter", counter)
+    return calls
+
+
 class TestIdentifyBoundary:
     @pytest.mark.parametrize("case", list(COUNTING_PATH_CASES))
-    def test_both_counting_paths_match_a_counter(self, case):
+    def test_both_counting_paths_match_a_counter(self, case, monkeypatch):
         xs, path = COUNTING_PATH_CASES[case]
+        counters = _recording_counter(monkeypatch)
         for x in xs:
             g = build(x)
             degrees = g.degrees
-            assert ("bytes" if max(degrees) < 256 else "Counter") == path
             counts = identify_boundary(g)
+            assert ("Counter" if counters else "bytes") == path
+            counters.clear()
             assert counts == _counter_reference(degrees)
             assert list(counts) == sorted(counts)
             # the oracle counts the build's array itself
@@ -281,13 +301,7 @@ class TestIdentifyBoundary:
         make, path = ARRAY_COUNT_CASES[case]
         seq = make()
         expected = _counter_reference(seq)
-        counters = []
-
-        def counter(items):
-            counters.append(items)
-            return Counter(items)
-
-        monkeypatch.setattr(graphs, "Counter", counter)
+        counters = _recording_counter(monkeypatch)
         counts = _identified_counts(seq)
         assert counts == expected
         assert list(counts) == sorted(counts)
@@ -329,6 +343,9 @@ class TestIdentifyBoundary:
         assert identify_boundary(build(Fraction(1, 4096))) == {2: 1, 3: 4094, 4098: 1}
         g = HarosGraph(Fraction(1, 3), (5, 2, 3, 7))
         assert identify_boundary(g) == {2: 1, 3: 1, 12: 1}
+        # an extreme degree no four-byte cell holds
+        g = HarosGraph(Fraction(1, 3), (2**40, 2, 3, 7))
+        assert identify_boundary(g) == {2: 1, 3: 1, 2**40 + 7: 1}
 
     def test_rejects_seed_graph(self):
         with pytest.raises(ValueError):

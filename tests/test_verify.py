@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from datetime import datetime, timezone
 from fractions import Fraction
 
 import pytest
@@ -214,6 +215,23 @@ class TestRunVerification:
             run_verification("triple", order=10**6)
         with pytest.raises(ResourceLimitError):
             run_verification("recurrences", levels=40)
+
+    def test_manifest_times_are_utc_seconds(self):
+        manifest, _ = run_verification("identities", order=5, levels=3)
+        for stamp in (manifest.started, manifest.finished):
+            assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp), stamp
+        assert manifest.started <= manifest.finished
+
+    def test_now_reads_as_datetime_writes_it(self):
+        # the same text as an aware UTC datetime's isoformat, to the second;
+        # a second may tick over between the calls
+        def reference():
+            return datetime.now(timezone.utc).isoformat(timespec="seconds")
+
+        before = reference()
+        now = harosgraph.verify._now()
+        after = reference()
+        assert now in (before, after)
 
     def test_manifest_reports_failures(self):
         # corrupt one tally by hand to exercise the manifest invariant
