@@ -21,6 +21,7 @@ import re
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 
 from .distribution import (
@@ -216,28 +217,33 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         columns["thm2"] = interval_form_distribution(x)
     if method in ("oracle", "all"):
         columns["oracle"] = degree_distribution_oracle(x)
-    # every route counts nodes over the same q = x.denominator
+    # every route counts nodes over the same q = x.denominator; the table is
+    # built a column at a time, each column's counts in the order of ks
     counts = [dist.counts for dist in columns.values()]
+    ks = sorted(set().union(*counts))
+    values = [list(map(c.get, ks, repeat(0))) for c in counts]
     over_q = f"/{q}"
-    mismatch = False
-    lines = ["  ".join(["k", *columns] + (["match"] if method == "all" else []))]
-    for k in sorted(set().union(*counts)):
-        row = [c.get(k, 0) for c in counts]
-        agree = len(set(row)) == 1  # one column, or all three equal
+
+    def reduced(column: list[int]) -> list[str]:
         # each count over q in lowest terms, as _fmt writes a Fraction: a
-        # count coprime to q as it stands; an agreeing row's cell once
-        cells = [
-            f"{m}{over_q}" if (g := gcd(m, q)) == 1 else f"{m // g}/{q // g}"
-            for m in (row[:1] if agree else row)
+        # count coprime to q as it stands
+        return [f"{m}{over_q}" if (g := gcd(m, q)) == 1 else f"{m // g}/{q // g}" for m in column]
+
+    # a row whose counts agree: its k, then its one cell in every column
+    template = "{0}" + "  {1}" * len(values) + ("  ok" if method == "all" else "")
+    agree = values.count(values[0]) == len(values)  # one column, or all equal
+    if agree:
+        rows = map(template.format, ks, reduced(values[0]))
+    else:
+        # equal counts over one q are equal cells, so each row compares text
+        rows = [
+            template.format(k, row[0]) if row.count(row[0]) == len(row)
+            else f"{k}  " + "  ".join(row) + "  MISMATCH"
+            for k, *row in zip(ks, *map(reduced, values))
         ]
-        if agree:
-            cells *= len(row)
-        if method == "all":
-            mismatch = mismatch or not agree
-            cells.append("ok" if agree else "MISMATCH")
-        lines.append(f"{k}  " + "  ".join(cells))
-    sys.stdout.write("\n".join(lines) + "\n")
-    if method == "all" and mismatch and args.strict:
+    header = "  ".join(["k", *columns] + (["match"] if method == "all" else []))
+    sys.stdout.write(header + "\n" + "\n".join(rows) + "\n")
+    if not agree and args.strict:
         print("error: methods disagree", file=sys.stderr)
         return EXIT_STRICT_MISMATCH
     return EXIT_OK

@@ -219,16 +219,23 @@ def identify_boundary(g: HarosGraph) -> dict[int, int]:
     The tuple of degrees is copied into a byte string when every degree is
     below 256, and into a four-byte array otherwise, and counted by
     :func:`_identified_counts`: in C either way, unless an interior degree
-    passes 255.  So the graph of 1/q, whose extreme degree q is its only
-    wide one, is counted in C for every q.  Only a degree that fits no
+    passes 255.  The two extremes are tested first: when either passes 255,
+    as q does in the graph of 1/q from q = 256 on, the tuple goes straight
+    into the array, with no byte-string attempt that would walk it all
+    before failing.  So the graph of 1/q, whose extreme degree q is its
+    only wide one, is counted in C for every q.  Only a degree that fits no
     four-byte cell, as in a hand-built graph, leaves the tuple as it is.
     """
     degrees = _graph(g).degrees
     if len(degrees) < 3:
         raise ValueError("boundary identification is undefined for the seed graph")
-    try:
-        seq = bytes(degrees)
-    except ValueError:  # a degree above 255
+    seq = None
+    if degrees[0] < 256 and degrees[-1] < 256:
+        try:
+            seq = bytes(degrees)
+        except ValueError:  # an interior degree above 255
+            pass
+    if seq is None:
         try:
             seq = array("I", degrees)
         except OverflowError:  # a degree above 2^32 - 1

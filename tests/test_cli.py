@@ -3,17 +3,57 @@
 import hashlib
 import json
 import os
+import sys
+from fractions import Fraction
 
 import pytest
 
 from harosgraph import cli
 from harosgraph.cli import SWEEP_CSV_HEADER, main
+from harosgraph.distribution import cf_form_distribution, interval_form_distribution
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _fibonacci_ratio(n):
+    """F_(n-1)/F_n as a fraction literal, with F_1 = F_2 = 1."""
+    a, b = 0, 1
+    for _ in range(n - 1):
+        a, b = b, a + b
+    return f"{a}/{b}"
+
+
+# F_479/F_480: 100 digits, 479 rows, 287 of them reduced by a large factor
+# shared with q
+F_480 = _fibonacci_ratio(480)
+
+
+def _cli_lines(capsys, *argv):
+    """Python lines main(argv) executes in cli.py frames, and the number of
+    table rows it writes."""
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename == cli.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        code = main(list(argv))
+    finally:
+        sys.settrace(previous)
+    out = capsys.readouterr().out
+    assert code == 0
+    return lines, out.count("\n") - 1
 
 
 class TestCf:
@@ -155,6 +195,60 @@ class TestDist:
         )
         assert err == "error: methods disagree\n"
 
+    def test_strict_mismatch_in_the_first_column_exits_4(self, capsys, monkeypatch):
+        # thm1 is the odd one out: the table does not take its column as
+        # every row's cell
+        monkeypatch.setattr(
+            cli, "cf_form_distribution",
+            lambda x: cli.DegreeDistribution({2: 2}, 3),
+        )
+        code, out, err = run(capsys, "dist", "1/3", "--method", "all", "--strict")
+        assert code == 4
+        assert out == (
+            "k  thm1  thm2  oracle  match\n"
+            "2  2/3  1/3  1/3  MISMATCH\n"
+            "3  0/1  1/3  1/3  MISMATCH\n"
+            "5  0/1  1/3  1/3  MISMATCH\n"
+        )
+        assert err == "error: methods disagree\n"
+
+    @pytest.mark.parametrize(
+        "method, route",
+        [("thm1", cf_form_distribution), ("thm2", interval_form_distribution)],
+    )
+    def test_bigint_cells_with_shared_factors(self, capsys, method, route):
+        code, out, err = run(capsys, "dist", F_480, "--method", method)
+        assert (code, err) == (0, "")
+        x = Fraction(F_480)
+        counts = route(x).counts
+        lines = out.splitlines()
+        assert lines[0] == f"k  {method}"
+        rows = [line.split("  ") for line in lines[1:]]
+        assert [int(k) for k, _ in rows] == list(counts)
+        for k, cell in rows:
+            value = Fraction(counts[int(k)], x.denominator)
+            assert cell == f"{value.numerator}/{value.denominator}", k
+        assert len(rows) == 479
+        assert sum(not cell.endswith(f"/{x.denominator}") for _, cell in rows) == 287
+
+    @pytest.mark.parametrize("method", ["thm1", "thm2"])
+    def test_table_cost_is_one_line_per_row(self, capsys, method):
+        # Executed lines in cli.py frames over F_(n-1)/F_n, n = 60 ... 480:
+        # each added row costs at most 1.2 lines; a per-row loop that
+        # builds its own lists costs about 17
+        measured = [_cli_lines(capsys, "dist", _fibonacci_ratio(n), "--method", method)
+                    for n in (60, 120, 240, 480)]
+        for (l0, r0), (l1, r1) in zip(measured, measured[1:]):
+            assert r1 > r0 and l1 - l0 <= 1.2 * (r1 - r0), measured
+
+    def test_agreeing_table_runs_only_the_cell_comprehension_per_row(self, capsys):
+        # with --method all, a row whose three routes agree adds one line:
+        # the first column's cell; the rows are written by a template
+        measured = [_cli_lines(capsys, "dist", _fibonacci_ratio(n), "--method", "all")
+                    for n in (12, 16, 20, 24)]
+        for (l0, r0), (l1, r1) in zip(measured, measured[1:]):
+            assert r1 > r0 and l1 - l0 <= r1 - r0, measured
+
     def test_every_cell_is_reduced(self, capsys, monkeypatch):
         # counts over q = 4: an agreeing row and a disagreeing one each
         # reduce every cell, and a count coprime to q stands as it is
@@ -184,9 +278,11 @@ class TestDist:
             (f"3/{10**200 + 7}", "thm2", "11a6f5fc441d98e42eb694ef8139b33f01084c931dcdeee122093b844ef6f8f2"),
             # the mirror of the last one, descended above 1/2: the same table
             (f"{10**200 + 4}/{10**200 + 7}", "thm2", "11a6f5fc441d98e42eb694ef8139b33f01084c931dcdeee122093b844ef6f8f2"),
+            (F_480, "thm1", "37d69e0b35ab6a9351f61917fad4cd25ca2eb54d60172593f63eb63c2e727938"),
+            (F_480, "thm2", "95d161328821ec30ef523b002e647ee7fe13b3b0780286ca15420c03a67505df"),
         ],
         ids=["1/4096", "6765/10946", "46368/75025", "10/23", "3/(10^200+7)",
-             "(10^200+4)/(10^200+7)"],
+             "(10^200+4)/(10^200+7)", "F_479/F_480-thm1", "F_479/F_480-thm2"],
     )
     def test_pinned_bytes(self, capsys, fraction, method, digest):
         code, out, err = run(capsys, "dist", fraction, "--method", method)

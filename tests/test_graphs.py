@@ -307,6 +307,36 @@ class TestIdentifyBoundary:
         assert list(counts) == sorted(counts)
         assert ("Counter" if counters else "bytes") == path
 
+    @pytest.mark.parametrize(
+        "x, tries_bytes",
+        [(Fraction(1, 4096), False), (Fraction(2, 507), True), (Fraction(1, 255), True)],
+        ids=["1/4096", "2/507", "1/255"],
+    )
+    def test_a_wide_extreme_skips_the_byte_string(self, x, tries_bytes, monkeypatch):
+        # 1/4096 has the extreme degree 4096 and goes straight into the
+        # array; 2/507 (an interior 256) and 1/255 (extremes up to 255)
+        # still try a byte string first, and every path counts as before
+        g = build(x)
+        expected = _counter_reference(g.degrees)
+        calls = []
+
+        class _IsBytes(type):
+            def __instancecheck__(cls, obj):
+                return isinstance(obj, bytes)
+
+        class RecordingBytes(metaclass=_IsBytes):
+            def __new__(cls, *args):
+                calls.append(args)
+                return bytes(*args)
+
+        monkeypatch.setattr(graphs, "bytes", RecordingBytes, raising=False)
+        counters = _recording_counter(monkeypatch)
+        counts = identify_boundary(g)
+        assert bool(calls) == tries_bytes
+        assert list(counts.items()) == list(expected.items())
+        expected_path = COUNTING_PATH_CASES[f"{x.numerator}/{x.denominator}"][1]
+        assert ("Counter" if counters else "bytes") == expected_path
+
     def test_big_endian_cells_are_read_at_their_last_byte(self, monkeypatch):
         seq = _degrees(1, 4096)
         swapped = array("I", seq)
