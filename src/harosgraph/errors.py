@@ -20,4 +20,5 @@ class AmbiguousBreakpointError(HarosError, ValueError):
 class NotRationalError(HarosError, TypeError):
     """An input has the wrong type: one that must be an exact rational, or
     for a degree an integer, is a float, a bool or not a number at all, or
-    one that must be a Haros graph is something else."""
+    one that must be a Haros graph, a descent path or a term list is
+    something else."""

@@ -32,14 +32,15 @@ class ContinuedFraction:
     The value is 1/(a_1 + 1/(a_2 + ...)).  All terms are positive ints and
     the last term is >= 2, except for the value 1 whose expansion is the
     single term [1].  The two classic representations [..., a] and
-    [..., a-1, 1] are collapsed to the first.  A float or bool term raises
-    :class:`NotRationalError`.
+    [..., a-1, 1] are collapsed to the first.  A float or bool term, or
+    terms that are not a sequence at all, raise :class:`NotRationalError`.
     """
 
     terms: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        terms = tuple(_integer(a, "a continued-fraction term") for a in self.terms)
+        terms = _iterable(self.terms, "continued-fraction terms")
+        terms = tuple(_integer(a, "a continued-fraction term") for a in terms)
         object.__setattr__(self, "terms", terms)
         if not self.terms:
             raise ValueError("a continued fraction needs at least one term")
@@ -85,6 +86,18 @@ def _integer(n: int, what: str) -> int:
             )
         n = int(n)
     return n
+
+
+def _iterable(xs: Iterable, what: str) -> Iterator:
+    """An iterator over xs, the ``what`` of a term list or a path; a float,
+    bool, None or anything else that cannot be iterated raises
+    :class:`NotRationalError` naming its type."""
+    try:
+        return iter(xs)
+    except TypeError:
+        raise NotRationalError(
+            f"{what} must be a sequence, got {type(xs).__name__} {xs!r}"
+        ) from None
 
 
 def _degree(k: int) -> int:

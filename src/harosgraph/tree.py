@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import AdjacencyError, ResourceLimitError
-from .exact import _cf_terms, _degree, _integer, _unit_fraction
+from .errors import AdjacencyError, NotRationalError, ResourceLimitError
+from .exact import _cf_terms, _degree, _integer, _iterable, _unit_fraction
 
 __all__ = [
     "LEFT",
@@ -67,14 +67,15 @@ class SymbolicPath:
     The runs are checked when the path is built: an empty word, a symbol
     other than L or R, a word that does not start with L and alternate, or
     a run shorter than one step raises ValueError; a run length that is
-    not an integer raises :class:`NotRationalError`.
+    not an integer, or runs that are not a sequence at all, raise
+    :class:`NotRationalError`.
     """
 
     runs: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
         runs = []
-        for i, (symbol, count) in enumerate(self.runs):
+        for i, (symbol, count) in enumerate(_iterable(self.runs, "descent runs")):
             count = _integer(count, "a run length")
             if count < 1:
                 raise ValueError(f"runs are at least one step long, got {count}")
@@ -248,8 +249,13 @@ def replay_path(path: SymbolicPath) -> Fraction:
     on 1/1 with lo = 0/1, so the opening L lands on 1/2.  A run of j L steps
     is taken at once: hi becomes (j - 1) lo + cur and the current node
     j lo + cur, mediant by mediant; R runs mirror that.  The runs were
-    checked when the path was built (:class:`SymbolicPath`).
+    checked when the path was built (:class:`SymbolicPath`); anything but a
+    :class:`SymbolicPath` raises :class:`NotRationalError` naming its type.
     """
+    if not isinstance(path, SymbolicPath):
+        raise NotRationalError(
+            f"expected a SymbolicPath, got {type(path).__name__} {path!r}"
+        )
     lo, cur, hi = (0, 1), (1, 1), (1, 1)
     for symbol, count in path.runs:
         if symbol == LEFT:

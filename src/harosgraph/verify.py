@@ -11,7 +11,6 @@ parser reads, and are the same objects here.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 import time
@@ -26,7 +25,9 @@ from .graphs import _degrees, _identified_counts, build
 from .limits import MAX_VERIFY_LEVELS, MAX_VERIFY_ORDER, SUITES
 from .tree import (
     LEFT,
+    MAX_TREE_LEVEL,
     RIGHT,
+    _level_pairs,
     _pairs_between,
     _walk,
     iter_farey_pairs,
@@ -225,12 +226,11 @@ def check_triple_equality(order: int) -> Tally:
     for p, q in iter_farey_pairs(order):
         if p == 0 or p == q:
             continue
-        x = Fraction(p, q)
         by_graph = _identified_counts(_degrees(p, q))
         by_cf = _cf_form_counts(p, q)
         t.check(
             by_graph == by_cf,
-            lambda x=x, a=by_graph, b=by_cf: f"counts at {x}: oracle {a} != cf form {b}",
+            lambda: f"counts at {Fraction(p, q)}: oracle {by_graph} != cf form {by_cf}",
         )
         ks = range(5, sum(_cf_terms(p, q)) + 4)
         from_cf = [by_cf.get(k, 0) for k in ks]
@@ -239,7 +239,8 @@ def check_triple_equality(order: int) -> Tally:
             from_cf,
             from_tree,
             lambda i: (
-                f"P({ks[i]}, {x})·q: cf form {from_cf[i]} != interval form {from_tree[i]}"
+                f"P({ks[i]}, {Fraction(p, q)})·q: cf form {from_cf[i]} "
+                f"!= interval form {from_tree[i]}"
             ),
         )
     return t
@@ -256,21 +257,39 @@ def check_descent_recurrences(min_level: int, max_level: int) -> Tally:
     count(child) = 2 s_{a/b}^(l,m) + s_{a/b}^(l,m-1).  The left-hand counts
     are read off explicitly built graphs; each s term, the continuant of a
     decremented tail [a_{l+1} - 1, a_{l+2}, ...], is S[l] - S[l+1] of the
-    list's suffix continuants S.  Nodes above 1/2 are checked through their
-    mirror, whose children are the mirrored children.
+    list's suffix continuants S.
+
+    Levels 1 and 2 hold no node of two or more terms, and each level from
+    3 on mirrors about 1/2, the children of 1 - y being the mirrored
+    children of y.  So only the first half of each level is walked, in
+    order, as integer pairs, and its tally is counted twice.  Each child's
+    graph is built once for the node's two checks; then only the child's
+    count at its own top emergent degree 3 + a_1 + ... + a_{m-1} is kept,
+    the one count it needs as a node of the next level.  A node with no
+    carried count (on the first level, or a child of a one-term node)
+    builds its own graph.
     """
     min_level = _integer(min_level, "a tree level")
     max_level = _integer(max_level, "a tree level")
     t = Tally("descent-recurrences")
-    counts_of = functools.cache(lambda p, q: _identified_counts(_degrees(p, q)))
-    for levels in range(min_level, max_level + 1):
-        for x in tree_level(levels).fractions:
-            p, q = x.numerator, x.denominator
-            if 2 * p > q:
-                p = q - p
+    if min_level > max_level:
+        return t
+    if min_level < 1:
+        raise ValueError(f"levels are numbered from 1, got {min_level}")
+    if max_level > MAX_TREE_LEVEL:
+        raise ResourceLimitError(
+            f"level {max_level} holds 2**{max_level - 2} fractions; the cap is {MAX_TREE_LEVEL}"
+        )
+    carried: Iterable[int | None] = itertools.repeat(None)
+    for level in range(max(min_level, 3), max_level + 1):
+        passed, failed = t.passed, t.failed
+        children: list[int | None] = []  # in order, the next level's first half
+        half = itertools.islice(_level_pairs(level), 2 ** (level - 3))
+        for (p, q), count in zip(half, carried):
             terms = _cf_terms(p, q)
             m = len(terms)
             if m < 2:
+                children += (None, None)
                 continue
             shorter, last = terms[:-1], terms[-1]
             dropped = shorter + (last - 1,)
@@ -278,7 +297,13 @@ def check_descent_recurrences(min_level: int, max_level: int) -> Tally:
             # a term list t has the value K(t[1:]) / K(t)
             plus_child = continuant(plus_terms[1:]), continuant(plus_terms)
             two_child = continuant(two_terms[1:]), continuant(two_terms)
-            plus_counts, two_counts = counts_of(*plus_child), counts_of(*two_child)
+            plus_counts = _identified_counts(_degrees(*plus_child))
+            two_counts = _identified_counts(_degrees(*two_child))
+            # the top emergent degree of p/q and of the raised child; the
+            # appended child's is last - 1 higher
+            top = 3 + sum(shorter)
+            if count is None:
+                count = _identified_counts(_degrees(p, q)).get(top, 0)
             s_inner = suffix_continuants(shorter[:-1])
             s_shorter = suffix_continuants(shorter)
             s_dropped = suffix_continuants(dropped)
@@ -289,7 +314,7 @@ def check_descent_recurrences(min_level: int, max_level: int) -> Tally:
                 if l <= m - 2:
                     expected_plus = s_inner[l] - s_inner[l + 1] + (last + 1) * s_tail
                 else:
-                    expected_plus = counts_of(p, q).get(degree, 0) + 1
+                    expected_plus = count + 1
                 t.check(
                     plus_counts.get(degree, 0) == expected_plus,
                     lambda: f"raise-last descent at {p}/{q}, degree {degree} (l={l}), "
@@ -301,6 +326,14 @@ def check_descent_recurrences(min_level: int, max_level: int) -> Tally:
                     lambda: f"append-two descent at {p}/{q}, degree {degree} (l={l}), "
                     f"child {two_child[0]}/{two_child[1]}",
                 )
+            # raising the last term lowers x when m is odd: that child comes first
+            plus_top = plus_counts.get(top, 0)
+            two_top = two_counts.get(top + last - 1, 0)
+            children += (plus_top, two_top) if m % 2 else (two_top, plus_top)
+        # the mirrored half passes and fails the same checks
+        t.passed += t.passed - passed
+        t.failed += t.failed - failed
+        carried = children
     return t
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from harosgraph.errors import NotRationalError
 from harosgraph.exact import (
     ContinuedFraction,
     _unit_fraction,
@@ -105,6 +106,12 @@ class TestContinuedFractionType:
             ContinuedFraction(())
         with pytest.raises(ValueError):
             ContinuedFraction((2, 0, 2))
+
+    @pytest.mark.parametrize("bad", [3.5, True, None])
+    def test_rejects_a_non_sequence_by_type(self, bad):
+        # ContinuedFraction(3.5) used to raise a bare TypeError
+        with pytest.raises(NotRationalError, match=f"got {type(bad).__name__} {bad!r}$"):
+            ContinuedFraction(bad)
 
     def test_single_one_is_the_value_one(self):
         assert convergents(ContinuedFraction((1,)))[-1] == 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from harosgraph.errors import AdjacencyError, ResourceLimitError
+from harosgraph.errors import AdjacencyError, NotRationalError, ResourceLimitError
 from harosgraph.exact import cf_expand, convergents
 from harosgraph.tree import (
     BracketSide,
@@ -233,6 +233,14 @@ class TestSymbolicPath:
     def test_replay_rejects_empty_runs(self):
         with pytest.raises(ValueError):
             replay_path(SymbolicPath((("L", 2), ("R", 0))))
+
+    @pytest.mark.parametrize("bad", [3.5, True, None])
+    @pytest.mark.parametrize("call", [SymbolicPath, replay_path])
+    def test_rejects_a_non_path_by_type(self, call, bad):
+        # replay_path(3.5) used to raise AttributeError, SymbolicPath(3.5) a
+        # bare TypeError
+        with pytest.raises(NotRationalError, match=f"got {type(bad).__name__} {bad!r}$"):
+            call(bad)
 
     @given(unit_fractions())
     def test_length_is_level_minus_one(self, x):

@@ -181,6 +181,57 @@ class TestPlantedBugs:
         assert t.first_failure == "path-roundtrips: level of 1/20 is not path length + 1"
 
 
+class TestDescentRecurrences:
+    """The recurrence suite walks the first half of each level, counts its
+    tally twice, and carries one count per child to the next level."""
+
+    @pytest.mark.parametrize(
+        "levels, passed",
+        [((1, 6), 68), ((2, 6), 68), ((3, 8), 516), ((4, 8), 516), ((5, 10), 3_072)],
+    )
+    def test_pinned_tallies(self, levels, passed):
+        t = check_descent_recurrences(*levels)
+        assert (t.passed, t.failed, t.first_failure) == (passed, 0, None)
+
+    @pytest.mark.parametrize("levels, tally", [((3, 8), (114, 402)), ((4, 9), (240, 1_044))])
+    def test_planted_count_error_is_caught(self, monkeypatch, levels, tally):
+        # each node's own count is carried from its parent's level, except on
+        # the first level: a first level other than 3 pins both
+        plant(
+            monkeypatch, harosgraph.verify, "_identified_counts",
+            lambda real: lambda seq: {k: m + 1 for k, m in real(seq).items()},
+        )
+        t = check_descent_recurrences(*levels)
+        assert (t.passed, t.failed) == tally
+        assert t.first_failure == (
+            "descent-recurrences: append-two descent at 2/5, degree 5 (l=1), child 3/8"
+        )
+
+    def test_reads_each_first_half_node_once(self, monkeypatch):
+        seen = []
+        plant(
+            monkeypatch, harosgraph.verify, "_cf_terms",
+            lambda real: lambda p, q: seen.append((p, q)) or real(p, q),
+        )
+        check_descent_recurrences(3, 13)
+        # level L holds 2**(L-3) nodes below 1/2; the mirror read them all twice
+        assert len(seen) == len(set(seen)) == 2_047
+        assert all(2 * p < q for p, q in seen)
+
+    def test_holds_one_level_of_counts(self):
+        # at most 200 bytes per node of level L + 1; a memo of every built
+        # graph's counts took 414, 466 and 518
+        for levels in (12, 13, 14):
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                check_descent_recurrences(3, levels)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - before <= 200 * 2 ** (levels - 1), (levels, peak - before)
+
+
 class TestRunVerification:
     def test_pinned_tallies_at_order_150(self):
         # pinned per suite: a change that moves two tallies in opposite
