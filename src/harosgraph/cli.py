@@ -32,7 +32,7 @@ from .distribution import (
     interval_form_distribution,
     sweep,
 )
-from .errors import ResourceLimitError
+from .errors import AdjacencyError, ResourceLimitError
 from .exact import cf_expand, convergents
 from .graphs import build, identify_boundary
 from .limits import MAX_VERIFY_LEVELS, MAX_VERIFY_ORDER, SUITES
@@ -446,6 +446,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except AdjacencyError as exc:  # a sweep whose walk did not list F_order
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

@@ -39,7 +39,12 @@ from itertools import accumulate
 from math import isqrt
 from types import MappingProxyType
 
-from .errors import AmbiguousBreakpointError, NotRationalError, ResourceLimitError
+from .errors import (
+    AdjacencyError,
+    AmbiguousBreakpointError,
+    NotRationalError,
+    ResourceLimitError,
+)
 from .exact import _cf_terms, _degree, _integer, _unit_fraction
 from .graphs import _degrees, _identified_counts, iter_identified_counts
 from .tree import _parents, _walk
@@ -312,6 +317,13 @@ def sweep(
     all degrees.  The row cap counts rows, not groups, and is checked
     before any work, in time and memory of about sqrt(row_cap); with no
     cap the rows are not counted.
+
+    Since only the walk lists the x, the sweep checks the list itself, in
+    O(1) per x: a/b < c/d, both of F_order, are consecutive in it exactly
+    when b·c − a·d = 1 and b + d > order.  Each x must follow the one
+    before it, starting from 0/1, with a denominator of at most order, and
+    1/1 must follow the last; the first pair that does not raises
+    :class:`AdjacencyError`.
     """
     ks = sorted({_degree(k) for k in degrees})
     if not ks:
@@ -327,10 +339,24 @@ def sweep(
             )
 
     top = ks[-1]
+    a, b = 0, 1  # the x before p/q in F_order
     for p, q, from_walk in iter_identified_counts(ks, order):
+        if b * p - a * q != 1 or b + q <= order or q > order:
+            raise _not_consecutive(a, b, p, q, order)
+        a, b = p, q
         from_cf = _cf_form_counts(p, q, top)
         from_tree = _walk(ks, p, q)[0]
         yield p, q, [
             (k, from_cf.get(k, 0), count, built)
             for k, count, built in zip(ks, from_tree, from_walk)
         ]
+    if (a, b) != (order - 1, order):  # the one a/b that 1/1 follows in F_order
+        raise _not_consecutive(a, b, 1, 1, order)
+
+
+def _not_consecutive(a: int, b: int, c: int, d: int, order: int) -> AdjacencyError:
+    """The error for a sweep whose walk put c/d right after a/b."""
+    return AdjacencyError(
+        f"the sweep of order {order} went from {a}/{b} to {c}/{d}, "
+        f"which are not consecutive in F_{order}"
+    )

@@ -7,10 +7,13 @@ graph labelled p/q has q + 1 nodes and 2q - 1 edges.
 
 One build core, :func:`_degrees`, writes the sequence run by run into an
 :class:`array.array` of one byte per node (four from level 255 on), and one
-count core, :func:`_identified_counts`, counts it in C whenever its interior
-degrees fit in a byte, as they do for every array of 1/q; only the two
-extremes, merged into the boundary node, are added in Python.  The oracle
-counts the array directly; :func:`build` hands out an immutable tuple of it.
+count core, :func:`_identified_counts`, counts any sequence in C whenever
+its interior degrees fit in a byte, as they do for every graph of 1/q; only
+the two extremes, merged into the boundary node, are added in Python.  The
+oracle counts the array directly.  :func:`build` and
+:func:`identify_boundary` are each their checks and one call to a core:
+the first hands out an immutable tuple of the array, the second counts
+such a tuple.
 """
 
 from __future__ import annotations
@@ -163,7 +166,7 @@ def _left_steps(left: array, cur: array, r: int) -> array:
     first node of the running graph, so the copies of ``left`` are joined
     by nodes of degree left[-1] + left[0] + 1.  Each sequence is copied
     once, with one C-level copy for each: ``left`` less its last node is
-    repeated in place, only when r > 1, then the whole running sequence is
+    repeated in place, then the whole running sequence is
     appended and its two ends are fixed.  Lists work as well as arrays of
     one typecode; the operands are left untouched.
     """
@@ -171,9 +174,8 @@ def _left_steps(left: array, cur: array, r: int) -> array:
         return cur
     l0, last = left[0], left[-1]
     out = left[:-1]
-    if r > 1:
-        out[0] = last + l0 + 1  # the joint opens every copy but the first
-        out *= r
+    out[0] = last + l0 + 1  # the joint opens every copy but the first
+    out *= r
     out[0] = l0 + 1
     n = len(out)
     out += cur
@@ -191,7 +193,6 @@ def _right_steps(cur: array, right: array, r: int) -> array:
     merged node."""
     if not r:
         return cur
-    r0, last = right[0], right[-1]
     out = cur[:-1]
     out[0] += r
     n = len(out)
@@ -199,7 +200,7 @@ def _right_steps(cur: array, right: array, r: int) -> array:
     out[n] += cur[-1]  # the merged node
     if r > 1:
         block = right[1:]
-        block[-1] += r0 + 1
+        block[-1] += right[0] + 1
         block *= r - 1
         out[n + 1:n + 1] = block
     out[-1] += 1
@@ -216,31 +217,16 @@ def identify_boundary(g: HarosGraph) -> dict[int, int]:
     interval get the all-zero degree distribution by convention instead.
     Anything but a :class:`HarosGraph` raises :class:`NotRationalError`.
 
-    The tuple of degrees is copied into a byte string when every degree is
-    below 256, and into a four-byte array otherwise, and counted by
-    :func:`_identified_counts`: in C either way, unless an interior degree
-    passes 255.  The two extremes are tested first: when either passes 255,
-    as q does in the graph of 1/q from q = 256 on, the tuple goes straight
-    into the array, with no byte-string attempt that would walk it all
-    before failing.  So the graph of 1/q, whose extreme degree q is its
-    only wide one, is counted in C for every q.  Only a degree that fits no
-    four-byte cell, as in a hand-built graph, leaves the tuple as it is.
+    The degrees are counted by :func:`_identified_counts`, the oracle's
+    count core: in C, as a byte string of the interior, whenever every
+    interior degree is below 256, whatever the extremes (the graph of 1/q
+    has the extreme degree q), and by a :class:`collections.Counter`
+    otherwise.
     """
     degrees = _graph(g).degrees
     if len(degrees) < 3:
         raise ValueError("boundary identification is undefined for the seed graph")
-    seq = None
-    if degrees[0] < 256 and degrees[-1] < 256:
-        try:
-            seq = bytes(degrees)
-        except ValueError:  # an interior degree above 255
-            pass
-    if seq is None:
-        try:
-            seq = array("I", degrees)
-        except OverflowError:  # a degree above 2^32 - 1
-            seq = degrees
-    return _identified_counts(seq)
+    return _identified_counts(degrees)
 
 
 def _identified_counts(seq: Sequence[int]) -> dict[int, int]:
@@ -250,12 +236,12 @@ def _identified_counts(seq: Sequence[int]) -> dict[int, int]:
 
     The interior seq[1:-1] is counted in C when every interior degree is
     below 256, one ``bytes.translate`` pass per distinct degree (14 to 20
-    for golden-ratio graphs of q near 10^5): a byte string as it is, an
-    array through the low byte of each cell.  The extremes go in by hand,
-    as one node of degree seq[0] + seq[-1], so the 'I' array of 1/q, whose
-    extreme degree is q, is counted in C too.  Anything else, such as an
-    array with an interior degree above 255 or a tuple, goes through a
-    :class:`collections.Counter`.
+    for golden-ratio graphs of q near 10^5): an array through the low byte
+    of each cell, any other sequence as a byte string of its interior.
+    The extremes never go into the byte string; they go in by hand, as one
+    node of degree seq[0] + seq[-1], so the graph of 1/q, whose extreme
+    degree is q, is counted in C too.  An interior degree above 255, or
+    below 0, sends the interior through a :class:`collections.Counter`.
     """
     if isinstance(seq, array):
         size = seq.itemsize
@@ -271,6 +257,10 @@ def _identified_counts(seq: Sequence[int]) -> dict[int, int]:
         del raw  # not held through the counting passes
     else:
         inner = seq[1:-1]
+        try:
+            inner = bytes(inner)
+        except ValueError:  # an interior degree outside 0..255
+            pass
     if isinstance(inner, bytes):
         # each pass deletes every node of the first remaining degree, and
         # the drop in length is that degree's count
@@ -312,8 +302,6 @@ def iter_identified_counts(
     if len(index) != len(ks):
         raise ValueError(f"degrees must be distinct, got {ks}")
     slot = index.get
-    if max_denominator < 2:
-        return
     seed = tuple(int(k == 2) for k in ks)
     # A graph is (p, q, counts, first_degree, last_degree); ``pending``
     # holds each node whose left subtree is being walked, with its right

@@ -46,8 +46,9 @@ LEFT = "L"
 RIGHT = "R"
 
 # Level k materialises 2**(k-2) fractions; past this point whole levels are
-# refused and callers must use locate_for_degree instead, whose descent takes
-# one step per continued-fraction term: O(m) for x = [a_1, ..., a_m].
+# refused.  A single degree needs no level: distribution.interval_form_value
+# locates x with _walk, a descent of one step per continued-fraction run,
+# O(m) for x = [a_1, ..., a_m].
 MAX_TREE_LEVEL = 20
 
 # A descent word is spelled one letter per step; longer words are refused.
@@ -198,11 +199,14 @@ def tree_level(k: int) -> TreeLevel:
 
 
 def _level_pairs(k: int):
-    """Yield the (p, q) pairs of level k >= 2 in increasing order.
+    """Yield the (p, q) pairs of level k >= 2 in increasing order; none
+    for k < 2, whose brackets' mediants sit at no depth the walk reaches.
 
     Depth-first in-order walk over brackets (lo, hi) whose mediant sits at
     ``depth``; the left half is popped first, so leaves come out sorted.
     """
+    if k < 2:
+        return
     stack = [((0, 1), (1, 1), 2)]
     while stack:
         lo, hi, depth = stack.pop()

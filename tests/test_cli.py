@@ -11,6 +11,7 @@ import pytest
 from harosgraph import cli
 from harosgraph.cli import SWEEP_CSV_HEADER, main
 from harosgraph.distribution import cf_form_distribution, interval_form_distribution
+from test_distribution import WALK_MUTANTS, plant_walk
 
 
 def run(capsys, *argv):
@@ -431,6 +432,21 @@ class TestSweep:
                 assert [str(v) for k, v in record.items() if k != "x_float"] == (
                     cells[:2] + cells[3:]
                 )
+
+    @pytest.mark.parametrize("case", list(WALK_MUTANTS))
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_broken_walk_exits_1_and_leaves_no_file(
+        self, capsys, tmp_path, monkeypatch, case, fmt
+    ):
+        message = plant_walk(monkeypatch, case)
+        out_file = tmp_path / f"s.{fmt}"
+        code, out, err = run(
+            capsys, "sweep", "--k", "5,6,7,8", "--order", "40",
+            "--out", str(out_file), "--format", fmt,
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not out_file.exists()
+        assert not os.path.exists(str(out_file) + ".partial")
 
     def test_empty_order_one(self, capsys, tmp_path):
         out_file = tmp_path / "s.csv"

@@ -26,6 +26,7 @@ from harosgraph.distribution import (
     sweep_row_count,
 )
 from harosgraph.errors import (
+    AdjacencyError,
     AmbiguousBreakpointError,
     HarosError,
     NotRationalError,
@@ -733,7 +734,66 @@ def sweep_rows(degrees, order, **kwargs):
     ]
 
 
+def _dropping_q_equal_to_the_order(real):
+    # the `q < max_denominator` walk: 1,892 rows at order 40, not 1,956
+    return lambda ks, n: ((p, q, c) for p, q, c in real(ks, n) if q < n)
+
+
+def _repeating_one_half(real):
+    def walk(ks, n):
+        for p, q, c in real(ks, n):
+            yield p, q, c
+            if (p, q) == (1, 2):
+                yield p, q, c
+
+    return walk
+
+
+def _adding_20_41(real):
+    # 20/41 of F_41 is the mediant of 19/39 and 1/2, neighbours in F_40
+    def walk(ks, n):
+        return ((p, q, c) for p, q, c in real(ks, n + 1) if q <= n or (p, q) == (20, 41))
+
+    return walk
+
+
+def _stopping_one_early(real):
+    return lambda ks, n: iter(list(real(ks, n))[:-1])
+
+
+# Broken oracle walks at order 40, each with the pair the sweep's own check
+# names; the three routes agree on every x such a walk yields, so only that
+# check sees them.
+WALK_MUTANTS = {
+    "drops q = n": (_dropping_q_equal_to_the_order, "0/1 to 1/39"),
+    "yields 1/2 twice": (_repeating_one_half, "1/2 to 1/2"),
+    "adds 20/41": (_adding_20_41, "19/39 to 20/41"),
+    "stops one early": (_stopping_one_early, "38/39 to 1/1"),
+}
+
+
+def plant_walk(monkeypatch, case):
+    """Replace the sweep's oracle walk by the mutant ``case`` of it; the
+    text the sweep's error must hold is returned."""
+    import harosgraph.distribution
+
+    mutant, pair = WALK_MUTANTS[case]
+    real = harosgraph.distribution.iter_identified_counts
+    monkeypatch.setattr(harosgraph.distribution, "iter_identified_counts", mutant(real))
+    return f"the sweep of order 40 went from {pair}, which are not consecutive in F_40"
+
+
 class TestSweep:
+    @pytest.mark.parametrize("case", list(WALK_MUTANTS))
+    def test_a_walk_that_skips_repeats_or_adds_an_x_is_refused(self, case, monkeypatch):
+        message = plant_walk(monkeypatch, case)
+        with pytest.raises(AdjacencyError) as info:
+            list(sweep([5, 6, 7, 8], 40))
+        assert str(info.value) == message
+
+    def test_order_two_is_one_half(self):
+        assert list(sweep([5], 2)) == [(1, 2, [(5, 0, 0, 0)])]
+
     def test_order_three(self):
         assert list(sweep([5], 3)) == [
             (1, 3, [(5, 1, 1, 1)]),

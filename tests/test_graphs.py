@@ -230,10 +230,9 @@ def _counter_reference(degrees):
     return {k: m for k, m in sorted(counts.items()) if m}
 
 
-# identify_boundary counts a built graph in C, as a byte string or through
-# the low bytes of a four-byte array, unless an interior degree passes 255,
-# whatever its extremes: 1/q has the extreme degree q.  Each case names the
-# path its graphs take.
+# identify_boundary counts a built graph in C, as a byte string of its
+# interior, unless an interior degree passes 255, whatever its extremes: 1/q
+# has the extreme degree q.  Each case names the path its graphs take.
 COUNTING_PATH_CASES = {
     "1/254": ([Fraction(1, 254)], "bytes"),
     "1/255": ([Fraction(1, 255)], "bytes"),  # extreme degree 255
@@ -308,34 +307,54 @@ class TestIdentifyBoundary:
         assert ("Counter" if counters else "bytes") == path
 
     @pytest.mark.parametrize(
-        "x, tries_bytes",
-        [(Fraction(1, 4096), False), (Fraction(2, 507), True), (Fraction(1, 255), True)],
+        "x", [Fraction(1, 4096), Fraction(2, 507), Fraction(1, 255)],
         ids=["1/4096", "2/507", "1/255"],
     )
-    def test_a_wide_extreme_skips_the_byte_string(self, x, tries_bytes, monkeypatch):
-        # 1/4096 has the extreme degree 4096 and goes straight into the
-        # array; 2/507 (an interior 256) and 1/255 (extremes up to 255)
-        # still try a byte string first, and every path counts as before
+    def test_one_byte_string_of_the_interior_and_no_array(self, x, monkeypatch):
+        # the extremes never go into the byte string, so 1/4096 (extreme
+        # degree 4096) and 1/255 are counted in C from it, and 2/507 (an
+        # interior 256) falls back to the Counter after the one attempt
         g = build(x)
         expected = _counter_reference(g.degrees)
-        calls = []
+        made = {"bytes": [], "array": []}
 
-        class _IsBytes(type):
-            def __instancecheck__(cls, obj):
-                return isinstance(obj, bytes)
+        def recording(name, real):
+            class _Is(type):
+                def __instancecheck__(cls, obj):
+                    return isinstance(obj, real)
 
-        class RecordingBytes(metaclass=_IsBytes):
-            def __new__(cls, *args):
-                calls.append(args)
-                return bytes(*args)
+            class Recording(metaclass=_Is):
+                def __new__(cls, *args):
+                    made[name].append(args)
+                    return real(*args)
 
-        monkeypatch.setattr(graphs, "bytes", RecordingBytes, raising=False)
+            monkeypatch.setattr(graphs, name, Recording, raising=False)
+
+        recording("bytes", bytes)
+        recording("array", array)
         counters = _recording_counter(monkeypatch)
         counts = identify_boundary(g)
-        assert bool(calls) == tries_bytes
+        assert made == {"bytes": [(g.degrees[1:-1],)], "array": []}
+        assert len(made["bytes"][0][0]) == g.node_count - 2
         assert list(counts.items()) == list(expected.items())
         expected_path = COUNTING_PATH_CASES[f"{x.numerator}/{x.denominator}"][1]
         assert ("Counter" if counters else "bytes") == expected_path
+
+    # Hand-built graphs no build makes, each with the parent's result, key
+    # order included, and the path its interior takes.
+    HAND_BUILT_CASES = {
+        "wide extremes": ((300, 2, 3, 7), [(2, 1), (3, 1), (307, 1)], "bytes"),
+        "interior 2**40": ((5, 2**40, 3, 7), [(3, 1), (12, 1), (2**40, 1)], "Counter"),
+        "negative interior": ((5, 2, -3, 7), [(-3, 1), (2, 1), (12, 1)], "Counter"),
+    }
+
+    @pytest.mark.parametrize("case", list(HAND_BUILT_CASES))
+    def test_hand_built_graphs(self, case, monkeypatch):
+        degrees, expected, path = self.HAND_BUILT_CASES[case]
+        counters = _recording_counter(monkeypatch)
+        counts = identify_boundary(HarosGraph(Fraction(1, 3), degrees))
+        assert list(counts.items()) == expected
+        assert ("Counter" if counters else "bytes") == path
 
     def test_big_endian_cells_are_read_at_their_last_byte(self, monkeypatch):
         seq = _degrees(1, 4096)
@@ -430,7 +449,9 @@ class TestIdentifiedCountsWalk:
         assert all(type(counts) is tuple for _, _, counts in walked)
 
     def test_empty_below_two(self):
-        assert list(iter_identified_counts([2, 5], 1)) == []
+        # the first mediant, 1/2, is already past these orders
+        for n in (1, 0, -3):
+            assert list(iter_identified_counts([2, 5], n)) == []
 
     @pytest.mark.parametrize("n", [2, 3, 10, 60, 200])
     def test_yields_the_interior_of_farey_in_order(self, n):

@@ -15,6 +15,7 @@ from harosgraph.tree import (
     MAX_TREE_LEVEL,
     EnclosingBracket,
     SymbolicPath,
+    _level_pairs,
     _pairs_between,
     _parents,
     _walk,
@@ -197,6 +198,13 @@ class TestTreeLevel:
             tree_level(MAX_TREE_LEVEL + 1)
         with pytest.raises(ValueError):
             tree_level(0)
+
+    def test_level_pairs_below_two_are_empty(self):
+        # no bracket's mediant sits at depth 1 or 0, so a walk that looked
+        # for one would grow its stack until memory ran out
+        assert list(_level_pairs(1)) == []
+        assert list(_level_pairs(0)) == []
+        assert list(_level_pairs(2)) == [(1, 2)]
 
 
 class TestSymbolicPath:
