@@ -21,7 +21,7 @@ import re
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import repeat
+from itertools import count, repeat
 from math import gcd
 
 from .distribution import (
@@ -170,21 +170,29 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if args.format == "json":
         import json
 
+        # json.dumps with an indent runs the pure-Python encoder, several
+        # calls per item; the degrees (q + 1 of them) are written as one join
+        # in its layout, spliced in for the null that holds their place
         payload = {
             "label": _fmt(x),
             "nodes": g.node_count,
             "edges": g.edge_count,
-            "degree_sequence": list(g.degrees),
+            "degree_sequence": None,
             "identified_counts": (
                 {str(k): m for k, m in identified.items()} if identified else {}
             ),
         }
         if note:
             payload["note"] = note
-        print(json.dumps(payload, indent=2))
+        sequence = ",\n    ".join(map(str, g.degrees))
+        print(json.dumps(payload, indent=2).replace(
+            '"degree_sequence": null', f'"degree_sequence": [\n    {sequence}\n  ]', 1
+        ))
     else:
         import csv
 
+        # the summary rows go through csv.writer (the note holds commas and
+        # is quoted); the sequence rows hold only ints, written as one join
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["section", "key", "value"])
         writer.writerow(["summary", "label", _fmt(x)])
@@ -192,8 +200,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         writer.writerow(["summary", "edges", g.edge_count])
         if note:
             writer.writerow(["summary", "note", note])
-        for position, degree in enumerate(g.degrees):
-            writer.writerow(["sequence", position, degree])
+        sys.stdout.write("".join(map("sequence,{},{}\n".format, count(), g.degrees)))
         if identified:
             for degree, multiplicity in identified.items():
                 writer.writerow(["multiset", degree, multiplicity])

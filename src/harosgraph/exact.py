@@ -40,7 +40,7 @@ class ContinuedFraction:
 
     def __post_init__(self) -> None:
         terms = _iterable(self.terms, "continued-fraction terms")
-        terms = tuple(_integer(a, "a continued-fraction term") for a in terms)
+        terms = tuple([_integer(a, "a continued-fraction term") for a in terms])
         object.__setattr__(self, "terms", terms)
         if not self.terms:
             raise ValueError("a continued fraction needs at least one term")

@@ -302,7 +302,7 @@ def iter_identified_counts(
     if len(index) != len(ks):
         raise ValueError(f"degrees must be distinct, got {ks}")
     slot = index.get
-    seed = tuple(int(k == 2) for k in ks)
+    seed = tuple([int(k == 2) for k in ks])
     # A graph is (p, q, counts, first_degree, last_degree); ``pending``
     # holds each node whose left subtree is being walked, with its right
     # neighbour.  Nodes share their counts with the walk, hence tuples.

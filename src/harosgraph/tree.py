@@ -195,7 +195,7 @@ def tree_level(k: int) -> TreeLevel:
         )
     if k == 1:
         return TreeLevel(1, (Fraction(0), Fraction(1)))
-    return TreeLevel(k, tuple(Fraction(p, q) for p, q in _level_pairs(k)))
+    return TreeLevel(k, tuple([Fraction(p, q) for p, q in _level_pairs(k)]))
 
 
 def _level_pairs(k: int):

@@ -131,7 +131,7 @@ def random_term_lists(count: int) -> Iterator[tuple[int, ...]]:
     rng = random.Random(RANDOM_GRID_SEED)
     for _ in range(count):
         n = rng.randint(2, 10)
-        yield tuple(rng.randint(1, 30) for _ in range(n))
+        yield tuple([rng.randint(1, 30) for _ in range(n)])
 
 
 def check_continuant_identities(term_lists: Iterable[Sequence[int]]) -> Tally:

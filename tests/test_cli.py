@@ -1,6 +1,8 @@
 """Command-line behaviour: formats, exit codes, determinism."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -11,6 +13,7 @@ import pytest
 from harosgraph import cli
 from harosgraph.cli import SWEEP_CSV_HEADER, main
 from harosgraph.distribution import cf_form_distribution, interval_form_distribution
+from harosgraph.graphs import build, identify_boundary
 from test_distribution import WALK_MUTANTS, plant_walk
 
 
@@ -144,6 +147,43 @@ class TestBuild:
         assert lines[0] == "section,key,value"
         assert "sequence,0,2" in lines
         assert "multiset,4,1" in lines
+
+    @pytest.mark.parametrize(
+        "fraction", ["0/1", "1/1", "1/2", "10/23", "1/4096", "2/601", "6765/10946"]
+    )
+    def test_both_formats_match_the_reference_encoders(self, capsys, fraction):
+        # the degrees are written as one join; json.dumps(indent=2) and one
+        # csv.writer row per node give the same bytes
+        x = Fraction(fraction)
+        g = build(x)
+        interior = 0 < x < 1
+        identified = identify_boundary(g) if interior else {}
+        payload = {
+            "label": fraction,
+            "nodes": g.node_count,
+            "edges": g.edge_count,
+            "degree_sequence": list(g.degrees),
+            "identified_counts": {str(k): m for k, m in identified.items()},
+        }
+        rows = [
+            ["section", "key", "value"],
+            ["summary", "label", fraction],
+            ["summary", "nodes", g.node_count],
+            ["summary", "edges", g.edge_count],
+        ]
+        if not interior:
+            payload["note"] = "P(k,0) = P(k,1) = 0 by convention"
+            rows.append(["summary", "note", payload["note"]])
+        rows += [["sequence", i, k] for i, k in enumerate(g.degrees)]
+        rows += [["multiset", k, m] for k, m in identified.items()]
+        table = io.StringIO()
+        writer = csv.writer(table, lineterminator="\n")
+        for row in rows:
+            writer.writerow(row)
+        assert run(capsys, "build", fraction, "--format", "json")[1] == (
+            json.dumps(payload, indent=2) + "\n"
+        )
+        assert run(capsys, "build", fraction, "--format", "csv")[1] == table.getvalue()
 
     def test_cap_exits_3(self, capsys):
         code, _, err = run(capsys, "build", "10/23", "--max-q", "10")

@@ -1,5 +1,6 @@
 """The bulk verification suites on small orders, plus tally plumbing."""
 
+import hashlib
 import re
 import tracemalloc
 from datetime import datetime, timezone
@@ -65,6 +66,14 @@ class TestSuites:
 
     def test_random_term_lists_are_reproducible(self):
         assert list(random_term_lists(50)) == list(random_term_lists(50))
+
+    def test_random_term_lists_are_pinned(self):
+        # the identity suite's 2,000 lists: a change to any value, length or
+        # order of them shows here
+        lists = list(random_term_lists(2000))
+        assert hashlib.sha256(repr(lists).encode()).hexdigest() == (
+            "a8744048133652e9cab3f81b094b7b4cd9c4f022683867deecc8e0180378e26c"
+        )
 
     def test_cf_continuant_link(self):
         assert check_cf_continuant_link(60).failed == 0
