@@ -33,7 +33,6 @@ from __future__ import annotations
 import numbers
 import sys
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
@@ -45,7 +44,7 @@ from .errors import (
     NotRationalError,
     ResourceLimitError,
 )
-from .exact import _cf_terms, _degree, _integer, _unit_fraction
+from .exact import _Value, _cf_terms, _degree, _integer, _unit_fraction
 from .graphs import _degrees, _identified_counts, iter_identified_counts
 from .tree import _parents, _walk
 
@@ -63,8 +62,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DegreeDistribution:
+class DegreeDistribution(_Value):
     """Exact degree distribution of one graph, as node counts over q.
 
     ``counts`` maps each degree to its number of nodes in the
@@ -73,19 +71,31 @@ class DegreeDistribution:
     inside the unit interval the counts are positive and sum to q; the
     endpoints carry an empty map.  ``counts`` is a read-only copy of the
     map passed in, and ``entries`` gives the same data as a read-only map
-    degree -> :class:`~fractions.Fraction`.  The denominator is an int
-    >= 1: anything else raises :class:`NotRationalError` or ValueError.
+    degree -> :class:`~fractions.Fraction`.  Counts that are not a mapping
+    raise :class:`NotRationalError`.  The denominator is an int >= 1:
+    anything else raises :class:`NotRationalError` or ValueError.
     """
 
+    __match_args__ = ("counts", "denominator")
     counts: Mapping[int, int]
     denominator: int
 
-    def __post_init__(self) -> None:
-        q = _integer(self.denominator, "a denominator")
+    def __init__(self, counts: Mapping[int, int], denominator: int) -> None:
+        q = _integer(denominator, "a denominator")
         if q < 1:
             raise ValueError(f"the denominator must be >= 1, got {q}")
+        try:
+            counts = MappingProxyType(dict(counts))
+        except (TypeError, ValueError):
+            raise NotRationalError(
+                f"counts must be a mapping, got {type(counts).__name__} {counts!r}"
+            ) from None
+        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "denominator", q)
-        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
+
+    def __reduce__(self) -> tuple:
+        # a mappingproxy cannot be pickled or deep-copied: rebuild from a dict
+        return type(self), (dict(self.counts), self.denominator)
 
     @property
     def entries(self) -> Mapping[int, Fraction]:

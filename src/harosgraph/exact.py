@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numbers
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotRationalError
@@ -25,8 +24,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class _Record:
+    """Base of the package's record classes.  The fields named in
+    ``__match_args__``, in order, give the repr ``Name(field=value, ...)``,
+    equality with another instance of the same class (``NotImplemented``
+    against any other) and positional ``match`` patterns, as a dataclass
+    does.  A record is mutable and not hashable; :class:`_Value` is both
+    immutable and hashable."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+
+class _Value(_Record):
+    """Base of the immutable value classes: a record whose ``__init__``
+    sets each field once, after its checks, through ``object.__setattr__``.  Assigning or deleting any attribute afterwards
+    raises AttributeError (``cannot assign to field 'x'``, the message of a
+    frozen dataclass), and the hash is that of the tuple of fields, so
+    equal values hash alike.  Instances keep their ``__dict__``, so
+    :mod:`copy` and :mod:`pickle` restore them without ``__setattr__``."""
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ContinuedFraction(_Value):
     """Canonical term list [a_1, ..., a_m] of a rational in (0, 1].
 
     The value is 1/(a_1 + 1/(a_2 + ...)).  All terms are positive ints and
@@ -36,18 +75,19 @@ class ContinuedFraction:
     terms that are not a sequence at all, raise :class:`NotRationalError`.
     """
 
+    __match_args__ = ("terms",)
     terms: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        terms = _iterable(self.terms, "continued-fraction terms")
+    def __init__(self, terms: Iterable[int]) -> None:
+        terms = _tuple(terms, "continued-fraction terms")
         terms = tuple([_integer(a, "a continued-fraction term") for a in terms])
-        object.__setattr__(self, "terms", terms)
-        if not self.terms:
+        if not terms:
             raise ValueError("a continued fraction needs at least one term")
-        if any(a < 1 for a in self.terms):
-            raise ValueError(f"terms must be positive integers: {list(self.terms)}")
-        if len(self.terms) > 1 and self.terms[-1] < 2:
+        if any(a < 1 for a in terms):
+            raise ValueError(f"terms must be positive integers: {list(terms)}")
+        if len(terms) > 1 and terms[-1] < 2:
             raise ValueError("canonical form forbids a trailing term of 1")
+        object.__setattr__(self, "terms", terms)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -88,12 +128,13 @@ def _integer(n: int, what: str) -> int:
     return n
 
 
-def _iterable(xs: Iterable, what: str) -> Iterator:
-    """An iterator over xs, the ``what`` of a term list or a path; a float,
-    bool, None or anything else that cannot be iterated raises
-    :class:`NotRationalError` naming its type."""
+def _tuple(xs: Iterable, what: str) -> tuple:
+    """xs as a tuple (xs itself when it is one, at no cost), the ``what`` of
+    a term list, a path, a graph or a tree level; a float, bool, None or
+    anything else that cannot be iterated raises :class:`NotRationalError`
+    naming its type."""
     try:
-        return iter(xs)
+        return tuple(xs)
     except TypeError:
         raise NotRationalError(
             f"{what} must be a sequence, got {type(xs).__name__} {xs!r}"

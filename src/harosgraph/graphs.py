@@ -22,12 +22,11 @@ import sys
 from array import array
 from collections import Counter
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
 from .errors import AdjacencyError, NotRationalError, ResourceLimitError
-from .exact import _cf_terms, _integer, _unit_fraction
+from .exact import _Value, _cf_terms, _integer, _tuple, _unit_fraction
 
 __all__ = [
     "BUILD_MAX_DENOMINATOR",
@@ -44,16 +43,22 @@ __all__ = [
 BUILD_MAX_DENOMINATOR = 10**7
 
 
-@dataclass(frozen=True)
-class HarosGraph:
+class HarosGraph(_Value):
     """Ordered degree sequence of the graph labelled by a unit fraction.
 
     Degrees run along the graph's natural left-to-right order with the two
-    extreme nodes first and last.
+    extreme nodes first and last.  The label is checked as :func:`build`
+    checks x, and the degrees are held as a tuple: degrees that are not a
+    sequence raise :class:`NotRationalError`.
     """
 
+    __match_args__ = ("label", "degrees")
     label: Fraction
     degrees: tuple[int, ...]
+
+    def __init__(self, label: Fraction, degrees: Sequence[int]) -> None:
+        object.__setattr__(self, "label", _unit_fraction(label, open=False))
+        object.__setattr__(self, "degrees", _tuple(degrees, "the degrees of a graph"))
 
     @property
     def node_count(self) -> int:

@@ -15,12 +15,11 @@ neither the closed form (thm1) nor the oracle.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import AdjacencyError, NotRationalError, ResourceLimitError
-from .exact import _cf_terms, _degree, _integer, _iterable, _unit_fraction
+from .exact import _Value, _cf_terms, _degree, _integer, _tuple, _unit_fraction
 
 __all__ = [
     "LEFT",
@@ -55,8 +54,7 @@ MAX_TREE_LEVEL = 20
 MAX_CF_WORD_STEPS = 10**6
 
 
-@dataclass(frozen=True)
-class SymbolicPath:
+class SymbolicPath(_Value):
     """Run-length encoded descent word, e.g. L^2 R^3 L^2 for 10/23.
 
     Runs alternate strictly between L and R.  For a fraction with canonical
@@ -68,15 +66,22 @@ class SymbolicPath:
     The runs are checked when the path is built: an empty word, a symbol
     other than L or R, a word that does not start with L and alternate, or
     a run shorter than one step raises ValueError; a run length that is
-    not an integer, or runs that are not a sequence at all, raise
-    :class:`NotRationalError`.
+    not an integer, a run that is not a (symbol, count) pair, or runs that
+    are not a sequence at all, raise :class:`NotRationalError`.
     """
 
+    __match_args__ = ("runs",)
     runs: tuple[tuple[str, int], ...]
 
-    def __post_init__(self) -> None:
-        runs = []
-        for i, (symbol, count) in enumerate(_iterable(self.runs, "descent runs")):
+    def __init__(self, runs: Sequence[tuple[str, int]]) -> None:
+        checked = []
+        for i, run in enumerate(_tuple(runs, "descent runs")):
+            try:
+                symbol, count = run
+            except (TypeError, ValueError):
+                raise NotRationalError(
+                    f"a descent run is a (symbol, count) pair, got {type(run).__name__} {run!r}"
+                ) from None
             count = _integer(count, "a run length")
             if count < 1:
                 raise ValueError(f"runs are at least one step long, got {count}")
@@ -87,10 +92,10 @@ class SymbolicPath:
                     f"descent words start with L (one L reaches 1/2) and alternate "
                     f"L and R runs, got an {symbol} run at position {i}"
                 )
-            runs.append((symbol, count))
-        if not runs:
+            checked.append((symbol, count))
+        if not checked:
             raise ValueError("empty descent word")
-        object.__setattr__(self, "runs", tuple(runs))
+        object.__setattr__(self, "runs", tuple(checked))
 
     @property
     def word(self) -> str:
@@ -107,12 +112,20 @@ class SymbolicPath:
         return sum(count for _, count in self.runs)
 
 
-@dataclass(frozen=True)
-class TreeLevel:
-    """One level of the Farey binary tree, fractions in increasing order."""
+class TreeLevel(_Value):
+    """One level of the Farey binary tree, fractions in increasing order.
 
+    An index that is not an integer, or fractions that are not a sequence,
+    raise :class:`NotRationalError`.
+    """
+
+    __match_args__ = ("index", "fractions")
     index: int
     fractions: tuple[Fraction, ...]
+
+    def __init__(self, index: int, fractions: Sequence[Fraction]) -> None:
+        object.__setattr__(self, "index", _integer(index, "a tree level"))
+        object.__setattr__(self, "fractions", _tuple(fractions, "the fractions of a level"))
 
     def __len__(self) -> int:
         return len(self.fractions)
@@ -128,8 +141,7 @@ class BracketSide(Enum):
     ELSEWHERE = "elsewhere"
 
 
-@dataclass(frozen=True)
-class EnclosingBracket:
+class EnclosingBracket(_Value):
     """A pivot fraction together with its two tree children.
 
     ``lower < pivot < upper`` whenever the fields are set; they are None only
@@ -137,10 +149,23 @@ class EnclosingBracket:
     pivot level.
     """
 
+    __match_args__ = ("lower", "pivot", "upper", "side")
     lower: Fraction | None
     pivot: Fraction | None
     upper: Fraction | None
     side: BracketSide
+
+    def __init__(
+        self,
+        lower: Fraction | None,
+        pivot: Fraction | None,
+        upper: Fraction | None,
+        side: BracketSide,
+    ) -> None:
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "pivot", pivot)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "side", side)
 
 
 def mediant(left: Fraction, right: Fraction) -> Fraction:

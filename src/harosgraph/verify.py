@@ -15,12 +15,11 @@ import itertools
 import random
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .distribution import _cf_form_counts, cf_form_distribution
 from .errors import ResourceLimitError
-from .exact import _cf_terms, _integer, continuant, suffix_continuants
+from .exact import _Record, _cf_terms, _integer, continuant, suffix_continuants
 from .graphs import _degrees, _identified_counts, build
 from .limits import MAX_VERIFY_LEVELS, MAX_VERIFY_ORDER, SUITES
 from .tree import (
@@ -60,14 +59,18 @@ __all__ = [
 RANDOM_GRID_SEED = 94340
 
 
-@dataclass
-class Tally:
+class Tally(_Record):
     """Pass/fail counter for one named check."""
 
-    name: str
-    passed: int = 0
-    failed: int = 0
-    first_failure: str | None = None
+    __match_args__ = ("name", "passed", "failed", "first_failure")
+
+    def __init__(
+        self, name: str, passed: int = 0, failed: int = 0, first_failure: str | None = None
+    ) -> None:
+        self.name = name
+        self.passed = passed
+        self.failed = failed
+        self.first_failure = first_failure
 
     def check(self, ok: bool, describe: Callable[[], str] | str) -> bool:
         """Count one check; ``describe`` runs at once, on the first failure only."""
@@ -93,17 +96,31 @@ class Tally:
             self.check(a == b, lambda: describe(i))
 
 
-@dataclass
-class RunManifest:
+class RunManifest(_Record):
     """Summary of one verification run."""
 
-    command: str
-    parameters: dict[str, object]
-    started: str
-    finished: str
-    checks_passed: int
-    checks_failed: int
-    first_failure: str | None = None
+    __match_args__ = (
+        "command", "parameters", "started", "finished",
+        "checks_passed", "checks_failed", "first_failure",
+    )
+
+    def __init__(
+        self,
+        command: str,
+        parameters: dict[str, object],
+        started: str,
+        finished: str,
+        checks_passed: int,
+        checks_failed: int,
+        first_failure: str | None = None,
+    ) -> None:
+        self.command = command
+        self.parameters = parameters
+        self.started = started
+        self.finished = finished
+        self.checks_passed = checks_passed
+        self.checks_failed = checks_failed
+        self.first_failure = first_failure
 
     def to_json_dict(self) -> dict[str, object]:
         out: dict[str, object] = {

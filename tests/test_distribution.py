@@ -1,6 +1,5 @@
 """The three distribution routes and the sweep harness."""
 
-import dataclasses
 import math
 import os
 import sys
@@ -165,7 +164,7 @@ class TestDegreeDistribution:
         with pytest.raises(TypeError):
             d.counts[2] = 1
         for name, value in (("denominator", 7), ("counts", {}), ("entries", {})):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError, match="cannot assign to field"):
                 setattr(d, name, value)
         assert d.counts == {2: 2, 3: 1, 5: 1, 6: 1}
         # the counts are a copy of the map passed in

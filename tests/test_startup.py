@@ -22,6 +22,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # modules only ``verify``, ``cf`` or ``build`` use
 DEFERRED = ("harosgraph.verify", "json", "csv", "datetime", "random", "typing")
 
+# Loaded by neither the parser nor any command, ``verify`` included: the value
+# classes are plain classes, so nothing pays for ``dataclasses`` and the
+# ``inspect`` it imports (with ``ast``, ``dis`` and ``tokenize``)
+NEVER = ("dataclasses", "inspect")
+
 # Prints the modules added by the parser, then the exit code and the modules
 # added by each command in turn; a command is one argument, its words joined
 # by tabs.  The commands' own output is swallowed.
@@ -51,20 +56,23 @@ def _probe(flags, *commands):
 @pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
 def test_cli_loads_only_what_its_command_runs(flags, tmp_path):
     out = str(tmp_path / "sweep.csv")
-    parser, dist, swept, verified = _probe(
+    parser, dist, swept, verified, cf, built = _probe(
         flags,
         ["dist", "10/23"],
         ["sweep", "--k", "5,6", "--order", "12", "--out", out],
         ["verify", "--order", "5", "--levels", "3"],
+        ["cf", "10/23", "--format", "json"],
+        ["build", "10/23"],
     )
     assert "harosgraph.cli" in parser and "argparse" in parser
-    assert [name for name in DEFERRED if name in parser] == []
+    assert [name for name in DEFERRED + NEVER if name in parser] == []
     for code, loaded in (dist, swept):
         assert code == 0
         assert [name for name in DEFERRED if name in loaded] == []
-    code, loaded = verified
-    assert code == 0
-    assert "harosgraph.verify" in loaded
+    for code, loaded in (dist, swept, verified, cf, built):
+        assert code == 0
+        assert [name for name in NEVER if name in loaded] == []
+    assert "harosgraph.verify" in verified[1]
 
 
 def test_verify_reexports_the_limits():

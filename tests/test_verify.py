@@ -14,6 +14,7 @@ import harosgraph.verify
 from harosgraph.errors import ResourceLimitError
 from harosgraph.verify import (
     MAX_VERIFY_ORDER,
+    RunManifest,
     Tally,
     check_base_cases,
     check_cf_continuant_link,
@@ -47,6 +48,18 @@ class TestTally:
         assert (t.passed, t.failed) == (5, 2)
         assert t.first_failure == "demo: at 1"
         assert seen == [1]  # described once, on the first failure only
+
+    def test_records_keep_their_repr_equality_and_defaults(self):
+        assert repr(Tally("demo")) == "Tally(name='demo', passed=0, failed=0, first_failure=None)"
+        assert Tally("demo", passed=2) == Tally(name="demo", passed=2) != Tally("demo")
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(Tally("demo"))
+        manifest = RunManifest("verify", {}, "a", "b", checks_passed=3, checks_failed=0)
+        assert repr(manifest) == (
+            "RunManifest(command='verify', parameters={}, started='a', finished='b', "
+            "checks_passed=3, checks_failed=0, first_failure=None)"
+        )
+        assert manifest == RunManifest("verify", {}, "a", "b", 3, 0, None)
 
 
 class TestSuites:
