@@ -14,13 +14,11 @@ from .distribution import (
     degree_distribution_oracle,
     interval_form_distribution,
     interval_form_value,
-    interval_form_value_real,
     sweep,
     sweep_row_count,
 )
 from .errors import (
     AdjacencyError,
-    AmbiguousBreakpointError,
     HarosError,
     NotRationalError,
     ResourceLimitError,
@@ -60,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjacencyError",
-    "AmbiguousBreakpointError",
     "BracketSide",
     "ContinuedFraction",
     "DegreeDistribution",
@@ -83,7 +80,6 @@ __all__ = [
     "initial_graph",
     "interval_form_distribution",
     "interval_form_value",
-    "interval_form_value_real",
     "iter_farey_pairs",
     "iter_identified_counts",
     "level_index",

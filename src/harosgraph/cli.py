@@ -66,7 +66,13 @@ def _parse_fraction(text: str) -> Fraction:
     match = _FRACTION_RE.match(text)
     if match is None:
         raise _UsageError(f"expected a fraction literal like 10/23, got {text!r}")
-    num, den = int(match.group(1)), int(match.group(2))
+    try:
+        num, den = int(match.group(1)), int(match.group(2))
+    except ValueError:  # a run of digits fails only on the int-string limit
+        raise _UsageError(
+            f"fraction literal with more than {sys.get_int_max_str_digits()} digits "
+            "in its numerator or denominator (Python's int-string limit)"
+        )
     if den == 0:
         raise _UsageError(f"zero denominator in {text!r}")
     x = Fraction(num, den)

@@ -30,8 +30,6 @@ distributions of the endpoints 0 and 1 are identically zero by convention.
 
 from __future__ import annotations
 
-import numbers
-import sys
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import accumulate
@@ -40,13 +38,12 @@ from types import MappingProxyType
 
 from .errors import (
     AdjacencyError,
-    AmbiguousBreakpointError,
     NotRationalError,
     ResourceLimitError,
 )
 from .exact import _Value, _cf_terms, _degree, _integer, _unit_fraction
 from .graphs import _degrees, _identified_counts, iter_identified_counts
-from .tree import _parents, _walk
+from .tree import _walk
 
 __all__ = [
     "DEFAULT_ROW_CAP",
@@ -56,7 +53,6 @@ __all__ = [
     "degree_distribution_oracle",
     "interval_form_distribution",
     "interval_form_value",
-    "interval_form_value_real",
     "sweep",
     "sweep_row_count",
 ]
@@ -184,50 +180,6 @@ def interval_form_value(k: int, x: Fraction) -> Fraction:
     q = x.denominator
     (count,) = _walk((_degree(k),), x.numerator, q)[0]
     return Fraction(count, q)
-
-
-# Floating inputs closer than this to a comparison breakpoint cannot be
-# trusted to land on the correct side of the linear piece.
-BREAKPOINT_EPS = Fraction(4 * sys.float_info.epsilon)
-
-
-def interval_form_value_real(k: int, x: float) -> float:
-    """Float evaluation of the interval form via an exact dyadic surrogate.
-
-    The float x is converted to its exact binary rational p/q and the count
-    P(k, p/q)·q is found exactly, by the same descent as
-    :func:`interval_form_value`; the result is count / q, correctly
-    rounded, so it equals ``float(interval_form_value(k, Fraction(x)))``.
-    Raises :class:`AmbiguousBreakpointError` when x sits within a few ulps
-    of a breakpoint without being exactly on it, and
-    :class:`NotRationalError` when x is a bool or not a real number.
-    """
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise NotRationalError(f"expected a real number, got {type(x).__name__} {x!r}")
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"x must lie strictly inside (0, 1), got {x!r}")
-    p, q = x.as_integer_ratio()
-    (count,), gaps = _walk((_degree(k),), p, q)
-    if gaps is None:
-        return 0.0  # above the pivot level
-    (a, b), (c, d) = _parents(p, q, *gaps)
-    # The walk closes in on x from both sides, so the nearest node it
-    # compared against is one of these five; b > 1 skips the seeds.
-    nodes = (
-        (a, b), (c, d), (a + c, b + d),  # the pivot's parents, the pivot
-        (2 * a + c, 2 * b + d), (a + 2 * c, b + 2 * d),  # its children
-    )
-    distances = [
-        Fraction(abs(p * b - q * a), q * b)
-        for a, b in nodes
-        if b > 1 and p * b != q * a
-    ]
-    if distances and min(distances) < BREAKPOINT_EPS:
-        raise AmbiguousBreakpointError(
-            f"{x!r} lies within {float(min(distances)):.3g} of a tree breakpoint; "
-            "the side of the linear piece is ambiguous at this precision"
-        )
-    return count / q
 
 
 def interval_form_distribution(x: Fraction) -> DegreeDistribution:

@@ -13,10 +13,6 @@ class ResourceLimitError(HarosError, RuntimeError):
     """A size cap was hit before the computation started."""
 
 
-class AmbiguousBreakpointError(HarosError, ValueError):
-    """A floating-point input sits within rounding error of a breakpoint."""
-
-
 class NotRationalError(HarosError, TypeError):
     """An input has the wrong type: one that must be an exact rational, or
     for a degree an integer, is a float, a bool or not a number at all, or

@@ -35,6 +35,12 @@ def _fibonacci_ratio(n):
 # shared with q
 F_480 = _fibonacci_ratio(480)
 
+# Python's cap on the digits int() reads from a string; 0 means none
+INT_DIGITS_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_digits_limit = pytest.mark.skipif(not INT_DIGITS_LIMIT, reason="no int-string limit")
+# one digit over the limit in its denominator
+OVER_THE_INT_DIGITS_LIMIT = f"1/1{'0' * INT_DIGITS_LIMIT}"
+
 
 def _cli_lines(capsys, *argv):
     """Python lines main(argv) executes in cli.py frames, and the number of
@@ -113,7 +119,12 @@ class TestCf:
         assert code == 0
         assert f"path: {'L' * 999_999}\n" in out
 
-    @pytest.mark.parametrize("bad", ["", "x/y", "1/0", "-1/2", "7/3", "1.5"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "x/y", "1/0", "-1/2", "7/3", "1.5",
+         pytest.param(OVER_THE_INT_DIGITS_LIMIT, id="over-the-int-digits-limit",
+                      marks=needs_int_digits_limit)],
+    )
     def test_malformed_input_exits_2(self, capsys, bad):
         code, _, err = run(capsys, "cf", bad)
         assert code == 2
@@ -219,6 +230,23 @@ class TestDist:
         code, out, _ = run(capsys, "dist", "1/1")
         assert code == 0
         assert "empty distribution" in out
+
+    @needs_int_digits_limit
+    def test_literal_over_the_int_digits_limit_exits_2(self, capsys):
+        # int() used to raise out of the parser: a traceback and exit 1
+        code, out, err = run(capsys, "dist", OVER_THE_INT_DIGITS_LIMIT, "--method", "thm1")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: fraction literal with more than {INT_DIGITS_LIMIT} digits "
+            "in its numerator or denominator (Python's int-string limit)\n"
+        )
+
+    @needs_int_digits_limit
+    def test_literal_at_the_int_digits_limit_parses(self, capsys):
+        q = 10 ** (INT_DIGITS_LIMIT - 1) + 7
+        code, out, _ = run(capsys, "dist", f"3/{q}", "--method", "thm1")
+        assert code == 0
+        assert f"2  3/{q}\n" in out
 
     def test_strict_mismatch_exits_4(self, capsys, monkeypatch):
         monkeypatch.setattr(

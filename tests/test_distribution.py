@@ -1,11 +1,13 @@
 """The three distribution routes and the sweep harness."""
 
+import ast
 import math
 import os
 import sys
 import tracemalloc
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -20,13 +22,11 @@ from harosgraph.distribution import (
     degree_distribution_oracle,
     interval_form_distribution,
     interval_form_value,
-    interval_form_value_real,
     sweep,
     sweep_row_count,
 )
 from harosgraph.errors import (
     AdjacencyError,
-    AmbiguousBreakpointError,
     HarosError,
     NotRationalError,
     ResourceLimitError,
@@ -199,28 +199,21 @@ UNIT_INPUT_ENTRY_POINTS = {
 # Entry points taking a degree k >= 5, called with a valid x
 DEGREE_INPUT_ENTRY_POINTS = {
     "interval_form_value(k)": lambda k: interval_form_value(k, Fraction(2, 7)),
-    "interval_form_value_real(k)": lambda k: interval_form_value_real(k, 0.3),
     "locate_for_degree(k)": lambda k: locate_for_degree(k, Fraction(2, 7)),
     "sweep(k)": lambda k: list(sweep([k], 4)),
     "sweep_row_count(k)": lambda k: sweep_row_count([k], 10),
 }
 BAD_INPUT_ENTRY_POINTS = {**UNIT_INPUT_ENTRY_POINTS, **DEGREE_INPUT_ENTRY_POINTS}
 NON_RATIONAL = [0.4, True, "2/5", None]
-# The one float entry point takes 0.4 but no bool or non-number: (5, True)
-# used to be taken as 1.0, and (5, "2/5") raised a bare TypeError
-FLOAT_INPUT_ENTRY_POINTS = {
-    "interval_form_value_real(x)": partial(interval_form_value_real, 5),
-}
 
 
 @pytest.mark.parametrize(
     "name, bad",
-    [(name, bad) for name in sorted(BAD_INPUT_ENTRY_POINTS) for bad in NON_RATIONAL]
-    + [(name, bad) for name in FLOAT_INPUT_ENTRY_POINTS for bad in NON_RATIONAL[1:]],
+    [(name, bad) for name in sorted(BAD_INPUT_ENTRY_POINTS) for bad in NON_RATIONAL],
 )
 def test_non_rational_input_is_a_package_type_error(name, bad):
     with pytest.raises(NotRationalError) as info:
-        {**BAD_INPUT_ENTRY_POINTS, **FLOAT_INPUT_ENTRY_POINTS}[name](bad)
+        BAD_INPUT_ENTRY_POINTS[name](bad)
     assert isinstance(info.value, HarosError)
     assert isinstance(info.value, TypeError)
 
@@ -438,6 +431,8 @@ class TestIntervalFormValue:
         assert interval_form_value(5, Fraction(1, 3)) == Fraction(1, 3)
         assert interval_form_value(5, Fraction(2, 3)) == Fraction(1, 3)
         assert interval_form_value(6, Fraction(2, 7)) == Fraction(1, 7)
+        # 1/4 is on tree level 4, the child level for degree 6
+        assert interval_form_value(6, Fraction(1, 4)) == Fraction(1, 4)
 
     def test_line_on_the_k5_support(self):
         # 3x - 1 on (1/3, 1/2) and 2 - 3x on (1/2, 2/3)
@@ -451,10 +446,38 @@ class TestIntervalFormValue:
         assert interval_form_value(5, Fraction(1, 4)) == 0
         assert interval_form_value(5, Fraction(2, 7)) == 0
         assert interval_form_value(7, Fraction(1, 2)) == 0
+        # the float 1e-20 is a dyadic with a 120-bit denominator; the seed
+        # 0/1 next to it is never a breakpoint
+        tiny = Fraction(1e-20)
+        assert tiny.denominator == 2**119
+        for k in range(5, 13):
+            assert interval_form_value(k, tiny) == 0
+
+    def test_rejects_the_endpoints(self):
+        for x in (Fraction(0), Fraction(1)):
+            with pytest.raises(ValueError):
+                interval_form_value(5, x)
+
+    def test_a_float_is_taken_at_its_binary_value(self):
+        # Fraction(x) of a float is exact, so float() of the value is the
+        # correctly rounded P(12, x)
+        x = Fraction(0.8684454578650953)
+        assert x == Fraction(3911130640432843, 2**52)
+        value = interval_form_value(12, x)
+        assert value == Fraction(115987817454531, 2**52)
+        assert float(value) == 0.025754469102807986
+        assert value == cf_form_distribution(x).probability(12)
 
     @given(unit_fractions(), st.integers(5, 14))
     def test_agrees_with_cf_form(self, x, k):
         assert interval_form_value(k, x) == cf_form_distribution(x).probability(k)
+
+    @given(st.integers(5, 14), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_exact_at_a_floats_binary_value(self, k, real):
+        x = Fraction(real)
+        value = interval_form_value(k, x)
+        assert value == interval_form_value(k, 1 - x)
+        assert value == cf_form_distribution(x).probability(k)
 
     def test_agrees_with_materialised_levels(self):
         # independent oracle: materialise the pivot and child levels, scan
@@ -661,69 +684,36 @@ class TestCfFormCounts:
         assert counts == {k: v * q for k, v in by_interval.items()}
 
 
-class TestIntervalFormValueReal:
-    def test_worked_values(self):
-        assert interval_form_value_real(5, 0.40) == pytest.approx(0.2, abs=1e-12)
-        assert interval_form_value_real(5, 0.45) == pytest.approx(0.35, abs=1e-12)
-        assert interval_form_value_real(5, 0.25) == 0.0
-        # the seed 0/1 is never a compared breakpoint
-        for k in range(5, 13):
-            assert interval_form_value_real(k, 1e-20) == 0.0
-
-    def test_exact_dyadic_breakpoints_are_fine(self):
-        # 0.5 is exactly the pivot for degree 5: the value is 0, no ambiguity
-        assert interval_form_value_real(5, 0.5) == 0.0
-        # 0.25 is exactly on tree level 4, the child level for degree 6
-        assert interval_form_value_real(6, 0.25) == 0.25
-
-    def test_near_breakpoint_is_ambiguous(self):
-        with pytest.raises(AmbiguousBreakpointError):
-            interval_form_value_real(5, 1 / 3)
-        with pytest.raises(AmbiguousBreakpointError):
-            interval_form_value_real(5, 0.5000000000000002)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            interval_form_value_real(5, 0.0)
-        with pytest.raises(ValueError):
-            interval_form_value_real(5, 1.0)
-
-    @given(
-        st.integers(5, 9),
-        st.integers(3, 60),
-        st.integers(1, 10**6),
-    )
-    def test_tracks_exact_values_away_from_breakpoints(self, k, q, seed):
-        p = seed % (q - 1) + 1
-        x = Fraction(p, q)
-        try:
-            got = interval_form_value_real(k, p / q)
-        except AmbiguousBreakpointError:
-            return
-        assert abs(got - float(interval_form_value(k, x))) < 1e-12
-
-    def test_is_correctly_rounded(self):
-        # evaluating the linear piece in floats put this 64 ulps off
-        assert interval_form_value_real(12, 0.8684454578650953) == 0.025754469102807986
-
-    @given(st.integers(5, 14), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-    def test_is_the_rounded_exact_value(self, k, x):
-        try:
-            got = interval_form_value_real(k, x)
-        except AmbiguousBreakpointError:
-            return
-        assert got == float(interval_form_value(k, Fraction(min(x, 1 - x))))
-
-
 def test_removed_sweep_forms_stay_out_of_the_package():
     import harosgraph
     import harosgraph.distribution
 
-    for name in ("SweepPoint", "base_probability"):
+    removed = (
+        "SweepPoint",
+        "base_probability",
+        "interval_form_value_real",
+        "BREAKPOINT_EPS",
+        "AmbiguousBreakpointError",
+    )
+    for name in removed:
         assert name not in harosgraph.__all__
         assert name not in harosgraph.distribution.__all__
         assert not hasattr(harosgraph, name)
         assert not hasattr(harosgraph.distribution, name)
+        assert not hasattr(harosgraph.errors, name)
+    # the float path's imports went with it
+    source = ast.parse(Path(harosgraph.distribution.__file__).read_text())
+    imported = {
+        alias.name.partition(".")[0]
+        for node in ast.walk(source)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {
+        node.module.partition(".")[0]
+        for node in ast.walk(source)
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+    }
+    assert not imported & {"numbers", "sys"}
 
 
 def sweep_rows(degrees, order, **kwargs):
