@@ -5,12 +5,13 @@ import math
 import os
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import harosgraph
@@ -204,7 +205,9 @@ DEGREE_INPUT_ENTRY_POINTS = {
     "sweep_row_count(k)": lambda k: sweep_row_count([k], 10),
 }
 BAD_INPUT_ENTRY_POINTS = {**UNIT_INPUT_ENTRY_POINTS, **DEGREE_INPUT_ENTRY_POINTS}
-NON_RATIONAL = [0.4, True, "2/5", None]
+# Decimal is exact but not a numbers.Rational: like a float, it is
+# passed as Fraction(d)
+NON_RATIONAL = [0.4, True, "2/5", None, Decimal("0.4")]
 
 
 @pytest.mark.parametrize(
@@ -218,7 +221,7 @@ def test_non_rational_input_is_a_package_type_error(name, bad):
     assert isinstance(info.value, TypeError)
 
 
-@pytest.mark.parametrize("bad", [6.0, 5.5, False, "6"])
+@pytest.mark.parametrize("bad", [6.0, 5.5, False, "6", Decimal(6)])
 @pytest.mark.parametrize("name", sorted(DEGREE_INPUT_ENTRY_POINTS))
 def test_non_integer_degree_is_a_package_type_error(name, bad):
     # a float degree used to slip through: 6.0 gave a float, 5.5 gave 1/7
@@ -431,8 +434,6 @@ class TestIntervalFormValue:
         assert interval_form_value(5, Fraction(1, 3)) == Fraction(1, 3)
         assert interval_form_value(5, Fraction(2, 3)) == Fraction(1, 3)
         assert interval_form_value(6, Fraction(2, 7)) == Fraction(1, 7)
-        # 1/4 is on tree level 4, the child level for degree 6
-        assert interval_form_value(6, Fraction(1, 4)) == Fraction(1, 4)
 
     def test_line_on_the_k5_support(self):
         # 3x - 1 on (1/3, 1/2) and 2 - 3x on (1/2, 2/3)
@@ -446,38 +447,10 @@ class TestIntervalFormValue:
         assert interval_form_value(5, Fraction(1, 4)) == 0
         assert interval_form_value(5, Fraction(2, 7)) == 0
         assert interval_form_value(7, Fraction(1, 2)) == 0
-        # the float 1e-20 is a dyadic with a 120-bit denominator; the seed
-        # 0/1 next to it is never a breakpoint
-        tiny = Fraction(1e-20)
-        assert tiny.denominator == 2**119
-        for k in range(5, 13):
-            assert interval_form_value(k, tiny) == 0
-
-    def test_rejects_the_endpoints(self):
-        for x in (Fraction(0), Fraction(1)):
-            with pytest.raises(ValueError):
-                interval_form_value(5, x)
-
-    def test_a_float_is_taken_at_its_binary_value(self):
-        # Fraction(x) of a float is exact, so float() of the value is the
-        # correctly rounded P(12, x)
-        x = Fraction(0.8684454578650953)
-        assert x == Fraction(3911130640432843, 2**52)
-        value = interval_form_value(12, x)
-        assert value == Fraction(115987817454531, 2**52)
-        assert float(value) == 0.025754469102807986
-        assert value == cf_form_distribution(x).probability(12)
 
     @given(unit_fractions(), st.integers(5, 14))
     def test_agrees_with_cf_form(self, x, k):
         assert interval_form_value(k, x) == cf_form_distribution(x).probability(k)
-
-    @given(st.integers(5, 14), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-    def test_exact_at_a_floats_binary_value(self, k, real):
-        x = Fraction(real)
-        value = interval_form_value(k, x)
-        assert value == interval_form_value(k, 1 - x)
-        assert value == cf_form_distribution(x).probability(k)
 
     def test_agrees_with_materialised_levels(self):
         # independent oracle: materialise the pivot and child levels, scan
@@ -682,6 +655,74 @@ class TestCfFormCounts:
         assert sum(k * m for k, m in counts.items()) == 4 * q - 2
         by_interval = interval_form_distribution(Fraction(p, q)).entries
         assert counts == {k: v * q for k, v in by_interval.items()}
+
+
+class TestIntervalFormValueReal:
+    """P(k, x) at a float x: the caller passes Fraction(x), which is exact
+    at the float's binary value, and float() of the result rounds once."""
+
+    def test_worked_values(self):
+        for real, value in ((0.40, 0.2), (0.45, 0.35)):
+            got = float(interval_form_value(5, Fraction(real)))
+            assert got == pytest.approx(value, abs=1e-12)
+        assert interval_form_value(5, Fraction(0.25)) == 0
+        # the float 1e-20 is a dyadic with a 120-bit denominator; the seed
+        # 0/1 next to it is never a breakpoint
+        tiny = Fraction(1e-20)
+        assert tiny.denominator == 2**119
+        for k in range(5, 13):
+            assert interval_form_value(k, tiny) == 0
+
+    def test_exact_dyadic_breakpoints_are_fine(self):
+        # 0.5 is exactly the pivot for degree 5: the value is 0
+        assert interval_form_value(5, Fraction(0.5)) == 0
+        # 0.25 is exactly on tree level 4, the child level for degree 6
+        assert interval_form_value(6, Fraction(0.25)) == Fraction(1, 4)
+
+    def test_near_breakpoint_is_exact(self):
+        # the float 1/3 lies just below 1/3, outside the k = 5 support
+        assert Fraction(1 / 3) < Fraction(1, 3)
+        assert interval_form_value(5, Fraction(1 / 3)) == 0
+        # one ulp above the pivot 1/2: on the line 2 - 3x
+        x = Fraction(0.5000000000000002)
+        assert x == Fraction(1, 2) + Fraction(1, 2**52)
+        assert interval_form_value(5, x) == Fraction(1, 2) - Fraction(3, 2**52)
+
+    def test_rejects_out_of_range(self):
+        for real in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                interval_form_value(5, Fraction(real))
+
+    @given(
+        st.integers(5, 9),
+        st.integers(3, 60),
+        st.integers(1, 10**6),
+    )
+    def test_tracks_exact_values_away_from_breakpoints(self, k, q, seed):
+        # the breakpoints are the fractions on levels up to k - 2; P(k, .)
+        # is linear on an interval around any deeper p/q, so the float p/q,
+        # within an ulp of it, gives a value within 1e-12 of P(k, p/q)
+        p = seed % (q - 1) + 1
+        x = Fraction(p, q)
+        assume(level_index(x) > k - 2)
+        got = interval_form_value(k, Fraction(p / q))
+        assert abs(float(got) - float(interval_form_value(k, x))) < 1e-12
+
+    def test_is_correctly_rounded(self):
+        # evaluating the linear piece in floats put this 64 ulps off
+        x = Fraction(0.8684454578650953)
+        assert x == Fraction(3911130640432843, 2**52)
+        value = interval_form_value(12, x)
+        assert value == Fraction(115987817454531, 2**52)
+        assert float(value) == 0.025754469102807986
+        assert value == cf_form_distribution(x).probability(12)
+
+    @given(st.integers(5, 14), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_is_the_rounded_exact_value(self, k, real):
+        x = Fraction(real)
+        value = interval_form_value(k, x)
+        assert value == interval_form_value(k, 1 - x)
+        assert value == cf_form_distribution(x).probability(k)
 
 
 def test_removed_sweep_forms_stay_out_of_the_package():
