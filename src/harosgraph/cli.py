@@ -266,13 +266,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out_path = args.out
     tmp_path = out_path + ".partial"
     as_csv = args.format == "csv"
+    ks = args.k
     count = 0
     worst = Fraction(0)
     # Most rows of a sweep are zero in all three columns: their CSV tail after
-    # the prefix depends on k alone.  A third of the x have only such rows, and
-    # their group is the prefix joined to the prebuilt tails.
-    zero_tails = {k: "%d,0,1,0,1,0,1\n" % k for k in args.k}
-    zero_rows = [(k, 0, 0, 0) for k in args.k]
+    # the prefix depends on k alone.  A third of the x are zero at every k,
+    # and each of those is the prefix joined to the prebuilt tails.
+    zero_tails = {k: "%d,0,1,0,1,0,1\n" % k for k in ks}
     zero_group = ["", *zero_tails.values()]
     try:
         handle = open(tmp_path, "w", newline="")
@@ -282,43 +282,43 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         with handle:
             handle.write(SWEEP_CSV_HEADER + "\n" if as_csv else "[")
             separator = "\n"  # before each JSON record; ",\n" after the first
-            for p, q, rows in sweep(args.k, args.order, row_cap=args.max_rows):
-                count += len(rows)
+            for p, q, thm1, thm2, oracle in sweep(ks, args.order, row_cap=args.max_rows):
+                count += len(ks)
                 x_float = p / q
                 # each x is written as one string: the CSV prefix joins the
                 # row tails, the JSON records stand whole
                 prefix = f"{p},{q},{x_float:.17g}," if as_csv else ""
-                if as_csv and rows == zero_rows:
-                    handle.write(prefix.join(zero_group))
-                    continue
-                tails = [""]
-                for k, a, b, c in rows:
-                    # each count over q in lowest terms: numerator, denominator
-                    if a == b == c:
-                        if as_csv:
-                            # one cell, written three times
+                if as_csv and thm1 == thm2 == oracle:
+                    if not any(thm1):
+                        tails = zero_group
+                    else:
+                        # the routes agree: each count over q in lowest terms
+                        # is one cell, written three times
+                        tails = [""]
+                        for k, a in zip(ks, thm1):
                             if a:
                                 cell = "%d,%d" % (a // (g := gcd(a, q)), q // g)
                                 tails.append(f"{k},{cell},{cell},{cell}\n")
                             else:
                                 tails.append(zero_tails[k])
-                            continue
-                        num, den = a // (g := gcd(a, q)), q // g
-                        cells = (k, num, den, num, den, num, den)
-                    else:
-                        # the three counts share the denominator q
-                        worst = max(worst, Fraction(max(a, b, c) - min(a, b, c), q))
+                else:  # JSON, or an x whose columns differ: row by row
+                    tails = [""]
+                    for k, a, b, c in zip(ks, thm1, thm2, oracle):
+                        if not a == b == c:
+                            # the three counts share the denominator q
+                            worst = max(worst, Fraction(max(a, b, c) - min(a, b, c), q))
+                        # each count over q in lowest terms: numerator, denominator
                         cells = (
                             k,
                             a // (g := gcd(a, q)), q // g,
                             b // (g := gcd(b, q)), q // g,
                             c // (g := gcd(c, q)), q // g,
                         )
-                    if as_csv:
-                        tails.append("%d,%d,%d,%d,%d,%d,%d\n" % cells)
-                    else:
-                        tails.append(separator + SWEEP_JSON_RECORD % ((p, q, x_float) + cells))
-                        separator = ",\n"
+                        if as_csv:
+                            tails.append("%d,%d,%d,%d,%d,%d,%d\n" % cells)
+                        else:
+                            tails.append(separator + SWEEP_JSON_RECORD % ((p, q, x_float) + cells))
+                            separator = ",\n"
                 handle.write(prefix.join(tails))
             if not as_csv:
                 handle.write("\n]\n" if count else "]\n")

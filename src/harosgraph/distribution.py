@@ -13,7 +13,7 @@
   driven by where x falls between a pivot of tree level k - 3 and that
   pivot's two children in level k - 2.  Locating x walks the Farey tree one
   run at a time, O(m) for x = [a_1, ..., a_m] whatever k is; a whole
-  distribution, a sweep row group or a triple-equality check shares one
+  distribution, one x of a sweep or a triple-equality check shares one
   walk per x, O(m + number of degrees), so none of them needs a cap.
 
 For x = p/q every probability is a count of nodes over q, so each route has
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import isqrt
 from types import MappingProxyType
 
@@ -41,7 +41,7 @@ from .errors import (
     NotRationalError,
     ResourceLimitError,
 )
-from .exact import _Value, _cf_terms, _degree, _integer, _unit_fraction
+from .exact import _Value, _cf_terms, _degree, _integer, _tuple, _unit_fraction
 from .graphs import _degrees, _identified_counts, iter_identified_counts
 from .tree import _walk
 
@@ -224,17 +224,19 @@ def sweep_row_count(
 ) -> int:
     """Number of rows a sweep will emit: interior fractions times degrees.
 
-    The degrees are checked as :func:`sweep` checks them, and duplicates
-    count once.  With a cap, counting stops once the count passes it, and
-    that partial count (already above the cap) is returned.  The totient
-    sieve starts near sqrt(cap) and doubles, so it never reaches much past
-    2·sqrt(cap), however large ``order`` is; with no cap it runs up to
-    ``order``.  A sieve above :data:`ROW_COUNT_MAX_SIEVE` raises
-    :class:`ResourceLimitError` before it is allocated: an uncapped order
-    above that bound, or a cap above about its square.
+    The degrees, order and cap are checked as :func:`sweep` checks them,
+    and duplicate degrees count once.  With a cap, counting stops once the
+    count passes it, and that partial count (already above the cap) is
+    returned.  The totient sieve starts near sqrt(cap) and doubles, so it
+    never reaches much past 2·sqrt(cap), however large ``order`` is; with no
+    cap it runs up to ``order``.  A sieve above :data:`ROW_COUNT_MAX_SIEVE`
+    raises :class:`ResourceLimitError` before it is allocated: an uncapped
+    order above that bound, or a cap above about its square.
     """
     order = _integer(order, "a Farey order")
-    per_x = len({_degree(k) for k in degrees})
+    if cap is not None:
+        cap = _integer(cap, "a row cap")
+    per_x = len({_degree(k) for k in _tuple(degrees, "the degrees to sweep")})
     if not per_x:
         return 0  # with a cap, doubling would otherwise run up to ``order``
     limit = order if cap is None else min(order, isqrt(max(cap, 0)) + 2)
@@ -264,21 +266,20 @@ def sweep(
     degrees: Sequence[int],
     order: int,
     row_cap: int | None = DEFAULT_ROW_CAP,
-) -> Iterator[tuple[int, int, list[tuple[int, int, int, int]]]]:
+) -> Iterator[tuple[int, int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
     """Evaluate all three routes over every x in F_order strictly inside (0, 1).
 
-    Yields one row group (p, q, rows) per x = p/q, ascending in x.  ``rows``
-    is a fresh list of (k, thm1_count, thm2_count, oracle_count), ascending
-    in k, one row per distinct degree; each count is P(k, x)·q.  Each route
-    computes only the swept degrees.  The fractions and the oracle column
-    come from the in-order concatenation walk
-    :func:`graphs.iter_identified_counts`, which keeps each graph's counts
-    at the swept degrees only, O(number of degrees) per x; for each x, the
-    continued-fraction form is one Euclid pass that stops at the largest
-    swept degree, and the interval form one descent on its two gaps for
-    all degrees.  The row cap counts rows, not groups, and is checked
-    before any work, in time and memory of about sqrt(row_cap); with no
-    cap the rows are not counted.
+    Yields (p, q, thm1, thm2, oracle) per x = p/q, ascending in x.  Each
+    column is a tuple of one route's counts P(k, x)·q, one per distinct
+    degree, ascending in k.  Each route computes only the swept degrees, and
+    no column reads another.  The fractions and the oracle column come from
+    the in-order concatenation walk :func:`graphs.iter_identified_counts`,
+    which keeps each graph's counts at the swept degrees only,
+    O(number of degrees) per x; for each x, the continued-fraction form is
+    one Euclid pass that stops at the largest swept degree, and the interval
+    form one descent on its two gaps for all degrees.  The row cap counts
+    rows (x times degrees), an int, and is checked before any work, in time
+    and memory of about sqrt(row_cap); with no cap the rows are not counted.
 
     Since only the walk lists the x, the sweep checks the list itself, in
     O(1) per x: a/b < c/d, both of F_order, are consecutive in it exactly
@@ -287,7 +288,7 @@ def sweep(
     1/1 must follow the last; the first pair that does not raises
     :class:`AdjacencyError`.
     """
-    ks = sorted({_degree(k) for k in degrees})
+    ks = sorted({_degree(k) for k in _tuple(degrees, "the degrees to sweep")})
     if not ks:
         raise ValueError("need at least one degree to sweep")
     order = _integer(order, "a Farey order")
@@ -302,16 +303,12 @@ def sweep(
 
     top = ks[-1]
     a, b = 0, 1  # the x before p/q in F_order
-    for p, q, from_walk in iter_identified_counts(ks, order):
+    for p, q, oracle in iter_identified_counts(ks, order):
         if b * p - a * q != 1 or b + q <= order or q > order:
             raise _not_consecutive(a, b, p, q, order)
         a, b = p, q
-        from_cf = _cf_form_counts(p, q, top)
-        from_tree = _walk(ks, p, q)[0]
-        yield p, q, [
-            (k, from_cf.get(k, 0), count, built)
-            for k, count, built in zip(ks, from_tree, from_walk)
-        ]
+        from_cf = _cf_form_counts(p, q, top).get
+        yield p, q, tuple(list(map(from_cf, ks, repeat(0)))), tuple(_walk(ks, p, q)[0]), oracle
     if (a, b) != (order - 1, order):  # the one a/b that 1/1 follows in F_order
         raise _not_consecutive(a, b, 1, 1, order)
 

@@ -301,7 +301,7 @@ def iter_identified_counts(
     the denominator passes max_denominator, which lists F_n sorted: every
     ancestor of a fraction has a smaller denominator.
     """
-    ks = [_integer(k, "a degree") for k in degrees]
+    ks = [_integer(k, "a degree") for k in _tuple(degrees, "the degrees to count")]
     max_denominator = _integer(max_denominator, "a Farey order")
     index = {k: i for i, k in enumerate(ks)}
     if len(index) != len(ks):

@@ -434,10 +434,10 @@ class TestSweep:
     def test_disagreeing_counts_are_written_and_summarised(
         self, capsys, tmp_path, monkeypatch, fmt
     ):
-        # the three routes never disagree on real input, so plant two groups
+        # the three routes never disagree on real input, so plant two x
         def planted(ks, order, row_cap):
-            yield 1, 3, [(5, 1, 2, 1)]
-            yield 2, 5, [(5, 0, 0, 3)]
+            yield 1, 3, (1,), (2,), (1,)
+            yield 2, 5, (0,), (0,), (3,)
 
         monkeypatch.setattr(cli, "sweep", planted)
         out_file = tmp_path / f"s.{fmt}"
@@ -468,10 +468,10 @@ class TestSweep:
     def test_disagreeing_rows_beside_agreeing_ones(
         self, capsys, tmp_path, monkeypatch, fmt
     ):
-        # agreeing rows take the one-gcd path (and in CSV a zero row the
-        # constant tail), so plant disagreements between them in one group
+        # an x whose columns differ goes row by row, its agreeing rows too,
+        # so plant disagreements between agreeing rows at one x
         def planted(ks, order, row_cap):
-            yield 3, 8, [(5, 0, 0, 0), (6, 0, 0, 2), (7, 2, 2, 2), (8, 1, 7, 1)]
+            yield 3, 8, (0, 0, 2, 1), (0, 0, 2, 7), (0, 2, 2, 1)
 
         monkeypatch.setattr(cli, "sweep", planted)
         out_file = tmp_path / f"s.{fmt}"

@@ -241,7 +241,9 @@ def test_degree_below_five_is_a_value_error(name):
 # bare TypeError, tree_level(3.0) gave TreeLevel(index=3.0, ...), mediant an
 # AttributeError, a float denominator made a DegreeDistribution, replay_path
 # took a bool run (a float one raised a bare TypeError) and ContinuedFraction
-# a bool or float term
+# a bool or float term.  A float or str row cap, and None for the degrees of
+# the sweep, its row count or the oracle walk, raised a bare TypeError, and
+# the row count took a bool cap (True returned 3, above its cap of 1)
 @pytest.mark.parametrize(
     "call",
     [
@@ -251,6 +253,13 @@ def test_degree_below_five_is_a_value_error(name):
         lambda: list(sweep([5], 10.5, row_cap=None)),
         lambda: sweep_row_count([5], 10.5),
         lambda: sweep_row_count([5], 10.5, cap=100),
+        lambda: list(sweep([5], 3, row_cap=1.5)),
+        lambda: list(sweep([5], 3, row_cap="a")),
+        lambda: sweep_row_count([5], 3, cap=True),
+        lambda: sweep_row_count([5], 3, cap="a"),
+        lambda: list(sweep(None, 3)),
+        lambda: sweep_row_count(None, 3),
+        lambda: list(iter_identified_counts(None, 3)),
         lambda: tree_level(3.0),
         lambda: tree_level(True),
         lambda: mediant(0.5, Fraction(1)),
@@ -274,6 +283,9 @@ def test_degree_below_five_is_a_value_error(name):
         "iter_farey_pairs(3.5)", "iter_farey_pairs(True)",
         "sweep(10.5)", "sweep(10.5, no cap)",
         "sweep_row_count(10.5)", "sweep_row_count(10.5, cap)",
+        "sweep(row_cap=1.5)", "sweep(row_cap='a')",
+        "sweep_row_count(cap=True)", "sweep_row_count(cap='a')",
+        "sweep(None)", "sweep_row_count(None)", "iter_identified_counts(None)",
         "tree_level(3.0)", "tree_level(True)",
         "mediant(0.5, 1)", "mediant(0, 1.0)",
         "run_verification(order=20.0)", "check_piecewise_linearity(20.0)",
@@ -758,9 +770,13 @@ def test_removed_sweep_forms_stay_out_of_the_package():
 
 
 def sweep_rows(degrees, order, **kwargs):
-    """The sweep's row groups flattened to (p, q, k, thm1, thm2, oracle) rows."""
+    """The sweep's columns flattened to (p, q, k, thm1, thm2, oracle) rows,
+    with the sorted distinct degrees as k."""
+    ks = sorted(set(degrees))
     return [
-        (p, q, *row) for p, q, rows in sweep(degrees, order, **kwargs) for row in rows
+        (p, q, *row)
+        for p, q, *columns in sweep(degrees, order, **kwargs)
+        for row in zip(ks, *columns, strict=True)
     ]
 
 
@@ -822,13 +838,13 @@ class TestSweep:
         assert str(info.value) == message
 
     def test_order_two_is_one_half(self):
-        assert list(sweep([5], 2)) == [(1, 2, [(5, 0, 0, 0)])]
+        assert list(sweep([5], 2)) == [(1, 2, (0,), (0,), (0,))]
 
     def test_order_three(self):
         assert list(sweep([5], 3)) == [
-            (1, 3, [(5, 1, 1, 1)]),
-            (1, 2, [(5, 0, 0, 0)]),
-            (2, 3, [(5, 1, 1, 1)]),
+            (1, 3, (1,), (1,), (1,)),
+            (1, 2, (0,), (0,), (0,)),
+            (2, 3, (1,), (1,), (1,)),
         ]
 
     def test_order_one_is_empty(self):
@@ -843,19 +859,23 @@ class TestSweep:
 
     def test_one_group_per_x(self):
         groups = list(sweep([8, 5, 6, 5], 30))
-        assert [(p, q) for p, q, _ in groups] == [
+        assert [(p, q) for p, q, *_ in groups] == [
             (p, q) for p, q in iter_farey_pairs(30) if p not in (0, q)
         ]
-        for _, _, rows in groups:
-            assert [row[0] for row in rows] == [5, 6, 8]
-        assert len({id(rows) for _, _, rows in groups}) == len(groups)
+        for p, q, *columns in groups:
+            # three columns, each one count per distinct degree, ascending in k
+            counts = degree_distribution_oracle(Fraction(p, q)).counts
+            assert columns == [tuple([counts.get(k, 0) for k in (5, 6, 8)])] * 3
+            for column in columns:
+                assert type(column) is tuple
+                assert [type(count) for count in column] == [int] * 3
 
     def test_row_cap(self):
         with pytest.raises(ResourceLimitError):
             list(sweep([5], 100, row_cap=10))
 
     def test_row_cap_is_inclusive(self):
-        # F_10 has 31 interior fractions; the cap counts rows, not groups
+        # F_10 has 31 interior fractions; the cap counts rows, not x
         assert len(sweep_rows([5], 10, row_cap=31)) == 31
         with pytest.raises(ResourceLimitError, match="the cap is 30"):
             list(sweep([5], 10, row_cap=30))
@@ -884,16 +904,18 @@ class TestSweep:
         assert peak < 4 * 2**20
 
     def test_groups_are_reduced_int_pairs_and_int_counts(self):
-        for p, q, rows in sweep([5, 6, 7, 8], 30):
+        for p, q, *columns in sweep([5, 6, 7, 8], 30):
             assert type(p) is int and type(q) is int
             assert Fraction(p, q).denominator == q
-            for row in rows:
+            for row in zip([5, 6, 7, 8], *columns, strict=True):
                 assert [type(value) for value in row] == [int] * 4
 
     def test_rows_are_integer_counts_over_q(self):
-        for p, q, rows in sweep([5, 6, 7, 8], 30):
+        for p, q, *columns in sweep([5, 6, 7, 8], 30):
             oracle = degree_distribution_oracle(Fraction(p, q))
-            for k, cf_form_count, interval_form_count, oracle_count in rows:
+            for k, cf_form_count, interval_form_count, oracle_count in zip(
+                [5, 6, 7, 8], *columns, strict=True
+            ):
                 assert oracle_count == oracle.counts.get(k, 0)
                 assert cf_form_count == interval_form_count == oracle_count
 
