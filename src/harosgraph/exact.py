@@ -201,8 +201,15 @@ def continuant(xs: Iterable[int]) -> int:
     K() = 1, K(x_1) = x_1 and K_n = x_n K_{n-1} + K_{n-2}.  For a canonical
     term list, K(terms) is the denominator of its value and K(terms[1:]) the
     numerator.  Entries outside a canonical expansion (a leading 0 from a
-    decremented term, say) are fine: the recurrence does not care.
+    decremented term, say) are fine: the recurrence does not care.  A float
+    or bool term, or terms that are not a sequence, raise
+    :class:`NotRationalError` naming the type.
     """
+    return _continuant(_terms(xs))
+
+
+def _continuant(xs: Iterable[int]) -> int:
+    """K(xs) for int terms, unchecked: the integer core of :func:`continuant`."""
     older, prev = 0, 1
     for x in xs:
         older, prev = prev, x * prev + older
@@ -215,11 +222,24 @@ def suffix_continuants(terms: Sequence[int]) -> list[int]:
     Returns ``S`` of length ``len(terms) + 2`` with ``S[i] = K(terms[i:])``;
     the trailing entries are K of the empty list (1) and the notional
     recursion seed 0.  Continuants are symmetric, so the suffixes satisfy
-    S[i] = terms[i] * S[i+1] + S[i+2].
+    S[i] = terms[i] * S[i+1] + S[i+2].  The terms are checked as
+    :func:`continuant` checks them.
     """
+    return _suffix_continuants(_terms(terms))
+
+
+def _suffix_continuants(terms: Sequence[int]) -> list[int]:
+    """The suffix continuants of a sequence of int terms, unchecked: the
+    integer core of :func:`suffix_continuants`."""
     n = len(terms)
     out = [0] * (n + 2)
     out[n] = 1
     for i in range(n - 1, -1, -1):
         out[i] = terms[i] * out[i + 1] + out[i + 2]
     return out
+
+
+def _terms(xs: Iterable[int]) -> list[int]:
+    """The terms of a continuant as a list of ints, each checked as
+    :func:`_integer` checks it."""
+    return [_integer(x, "a continuant term") for x in _tuple(xs, "continuant terms")]

@@ -248,7 +248,13 @@ def level_index(x: Fraction) -> int:
     x = _unit_fraction(x, open=False)
     if x.denominator == 1:  # 0/1 or 1/1
         return 1
-    return sum(_cf_terms(x.numerator, x.denominator))
+    return _level(x.numerator, x.denominator)
+
+
+def _level(p: int, q: int) -> int:
+    """Tree level of p/q for coprime 0 < p < q, unchecked: the integer core
+    of :func:`level_index`, the sum of the terms."""
+    return sum(_cf_terms(p, q))
 
 
 def symbolic_path(x: Fraction) -> SymbolicPath:
@@ -260,40 +266,54 @@ def symbolic_path(x: Fraction) -> SymbolicPath:
     no descent word.
     """
     x = _unit_fraction(x, open=True)
-    counts = list(_cf_terms(x.numerator, x.denominator))
+    counts = _run_lengths(x.numerator, x.denominator)
+    return SymbolicPath([((LEFT, RIGHT)[i % 2], count) for i, count in enumerate(counts)])
+
+
+def _run_lengths(p: int, q: int) -> list[int]:
+    """Run lengths of the descent word to p/q, L run first, for coprime
+    0 < p < q, unchecked: the integer core of :func:`symbolic_path`, the
+    terms with the last one less one."""
+    counts = list(_cf_terms(p, q))
     counts[-1] -= 1
-    runs = []
-    symbol = LEFT
-    for count in counts:
-        runs.append((symbol, count))
-        symbol = RIGHT if symbol == LEFT else LEFT
-    return SymbolicPath(tuple(runs))
+    return counts
 
 
 def replay_path(path: SymbolicPath) -> Fraction:
     """Walk a descent word by mediant navigation and return the fraction hit.
 
-    State is the bracketing pair (lo, hi) plus the current node; an L step
-    narrows hi to the current node, an R step narrows lo.  The walk starts
-    on 1/1 with lo = 0/1, so the opening L lands on 1/2.  A run of j L steps
-    is taken at once: hi becomes (j - 1) lo + cur and the current node
-    j lo + cur, mediant by mediant; R runs mirror that.  The runs were
-    checked when the path was built (:class:`SymbolicPath`); anything but a
+    The runs were checked when the path was built (:class:`SymbolicPath`),
+    so the walk is :func:`_replay` of their lengths; anything but a
     :class:`SymbolicPath` raises :class:`NotRationalError` naming its type.
     """
     if not isinstance(path, SymbolicPath):
         raise NotRationalError(
             f"expected a SymbolicPath, got {type(path).__name__} {path!r}"
         )
-    lo, cur, hi = (0, 1), (1, 1), (1, 1)
-    for symbol, count in path.runs:
-        if symbol == LEFT:
-            hi = (cur[0] + (count - 1) * lo[0], cur[1] + (count - 1) * lo[1])
-            cur = (hi[0] + lo[0], hi[1] + lo[1])
+    return Fraction(*_replay([count for _, count in path.runs]))
+
+
+def _replay(counts: Sequence[int]) -> tuple[int, int]:
+    """The (p, q) a descent word lands on, from its run lengths, L run first;
+    unchecked: the integer core of :func:`replay_path`.
+
+    State is the bracketing pair lo = a/b, hi = c/d plus the current node
+    p/q; an L step narrows hi to the current node, an R step narrows lo.
+    The walk starts on 1/1 with lo = 0/1, so the opening L lands on 1/2.  A
+    run of j L steps is taken at once: the node becomes cur + j·lo and hi
+    the node before it, mediant by mediant; R runs mirror that.
+    """
+    a, b, p, q, c, d = 0, 1, 1, 1, 1, 1
+    left = True
+    for count in counts:
+        if left:
+            p, q = p + count * a, q + count * b
+            c, d = p - a, q - b
         else:
-            lo = (cur[0] + (count - 1) * hi[0], cur[1] + (count - 1) * hi[1])
-            cur = (lo[0] + hi[0], lo[1] + hi[1])
-    return Fraction(*cur)
+            p, q = p + count * c, q + count * d
+            a, b = p - c, q - d
+        left = not left
+    return p, q
 
 
 def farey_parents(x: Fraction) -> tuple[Fraction, Fraction]:

@@ -19,18 +19,20 @@ from fractions import Fraction
 
 from .distribution import _cf_form_counts, cf_form_distribution
 from .errors import ResourceLimitError
-from .exact import _Record, _cf_terms, _integer, continuant, suffix_continuants
+from .exact import _Record, _cf_terms, _continuant, _integer, _suffix_continuants
 from .graphs import _degrees, _identified_counts, build
 from .limits import MAX_VERIFY_LEVELS, MAX_VERIFY_ORDER, SUITES
 from .tree import (
+    LEFT,
     MAX_TREE_LEVEL,
+    RIGHT,
+    _level,
     _level_pairs,
     _pairs_between,
+    _replay,
+    _run_lengths,
     _walk,
     iter_farey_pairs,
-    level_index,
-    replay_path,
-    symbolic_path,
     tree_children,
     tree_level,
 )
@@ -164,19 +166,19 @@ def check_continuant_identities(term_lists: Iterable[Sequence[int]]) -> Tally:
         n = len(xs)
         if n < 2:
             continue
-        suffix = suffix_continuants(xs)  # suffix[i] = K(xs[i:])
+        suffix = _suffix_continuants(xs)  # suffix[i] = K(xs[i:])
         # K is symmetric, so K(xs[:i]) = rev[n - i]
-        rev = suffix_continuants(xs[::-1])
-        kn = continuant(xs)
+        rev = _suffix_continuants(xs[::-1])
+        kn = _continuant(xs)
         split_ok = all(
             kn == rev[n - m] * suffix[m] + rev[n - m + 1] * suffix[m + 1]
             for m in range(1, n)
         )
-        t.check(split_ok, lambda xs=xs: f"splitting identity broke on {list(xs)}")
-        det = kn * continuant(xs[1:-1]) - rev[1] * suffix[1]
+        t.check(split_ok, lambda: f"splitting identity broke on {list(xs)}")
+        det = kn * _continuant(xs[1:-1]) - rev[1] * suffix[1]
         t.check(
             det == (-1) ** n,
-            lambda xs=xs, det=det: f"determinant on {list(xs)} gave {det}",
+            lambda: f"determinant on {list(xs)} gave {det}",
         )
     return t
 
@@ -190,36 +192,38 @@ def check_cf_continuant_link(order: int) -> Tally:
             continue
         terms = _cf_terms(p, q)
         t.check(
-            continuant(terms) == q and continuant(terms[1:]) == p,
-            lambda p=p, q=q, terms=terms: f"{p}/{q} vs terms {list(terms)}",
+            _continuant(terms) == q and _continuant(terms[1:]) == p,
+            lambda: f"{p}/{q} vs terms {list(terms)}",
         )
     return t
 
 
 def check_path_roundtrips(order: int) -> Tally:
     """Descent words over F_order: run lengths match the terms with the last
-    reduced by one, replay lands back on x, and the level is the term sum."""
+    reduced by one, replay lands back on x, and the level is the term sum.
+
+    Each x stays the integer pair (p, q) the Farey walk yields, and the
+    three checks run on the tree's integer cores (:func:`tree._run_lengths`,
+    :func:`tree._replay` and :func:`tree._level`), which trust a coprime
+    0 < p < q; the word is spelled out only to describe a failure.
+    """
     t = Tally("path-roundtrips")
     for p, q in iter_farey_pairs(order):
         if p == 0 or p == q:
             continue
-        x = Fraction(p, q)
-        path = symbolic_path(x)
+        got = _run_lengths(p, q)
         expected = list(_cf_terms(p, q))
         expected[-1] -= 1
-        # a SymbolicPath starts with L and alternates, or is never built
-        got = [count for _, count in path.runs]
+        t.check(got == expected, lambda: f"runs of {p}/{q}: {got} != {expected}")
         t.check(
-            got == expected,
-            lambda x=x, got=got, expected=expected: f"runs of {x}: {got} != {expected}",
+            _replay(got) == (p, q),
+            lambda: "replaying "
+            + "".join([s * n for s, n in zip(itertools.cycle((LEFT, RIGHT)), got)])
+            + f" missed {p}/{q}",
         )
         t.check(
-            replay_path(path) == x,
-            lambda x=x, path=path: f"replaying {path.word} missed {x}",
-        )
-        t.check(
-            level_index(x) == path.steps + 1,
-            lambda x=x: f"level of {x} is not path length + 1",
+            _level(p, q) == sum(got) + 1,
+            lambda: f"level of {p}/{q} is not path length + 1",
         )
     return t
 
@@ -245,7 +249,7 @@ def check_triple_equality(order: int) -> Tally:
             lambda: f"counts at {Fraction(p, q)}: oracle {by_graph} != cf form {by_cf}",
         )
         ks = range(5, sum(_cf_terms(p, q)) + 4)
-        from_cf = [by_cf.get(k, 0) for k in ks]
+        from_cf = list(map(by_cf.get, ks, itertools.repeat(0)))
         from_tree = _walk(ks, p, q)[0]
         t.check_pairs(
             from_cf,
@@ -307,8 +311,8 @@ def check_descent_recurrences(min_level: int, max_level: int) -> Tally:
             dropped = shorter + (last - 1,)
             plus_terms, two_terms = shorter + (last + 1,), dropped + (2,)
             # a term list t has the value K(t[1:]) / K(t)
-            plus_child = continuant(plus_terms[1:]), continuant(plus_terms)
-            two_child = continuant(two_terms[1:]), continuant(two_terms)
+            plus_child = _continuant(plus_terms[1:]), _continuant(plus_terms)
+            two_child = _continuant(two_terms[1:]), _continuant(two_terms)
             plus_counts = _identified_counts(_degrees(*plus_child))
             two_counts = _identified_counts(_degrees(*two_child))
             # the top emergent degree of p/q and of the raised child; the
@@ -316,9 +320,9 @@ def check_descent_recurrences(min_level: int, max_level: int) -> Tally:
             top = 3 + sum(shorter)
             if count is None:
                 count = _identified_counts(_degrees(p, q)).get(top, 0)
-            s_inner = suffix_continuants(shorter[:-1])
-            s_shorter = suffix_continuants(shorter)
-            s_dropped = suffix_continuants(dropped)
+            s_inner = _suffix_continuants(shorter[:-1])
+            s_shorter = _suffix_continuants(shorter)
+            s_dropped = _suffix_continuants(dropped)
             degree = 3
             for l in range(1, m):
                 degree += terms[l - 1]
@@ -422,7 +426,7 @@ def check_base_cases(order: int) -> Tally:
             and dist.probability(3) == abs(1 - 2 * x)
             and dist.probability(4) == expected4
         )
-        t.check(ok, lambda x=x, dist=dist: f"low degrees of {x}: {dist.entries}")
+        t.check(ok, lambda: f"low degrees of {x}: {dist.entries}")
     return t
 
 
@@ -435,14 +439,14 @@ def check_conservation(order: int) -> Tally:
         g = build(x)
         t.check(
             g.node_count == q + 1 and g.edge_count == 2 * q - 1,
-            lambda x=x, g=g: f"{x}: {g.node_count} nodes, {g.edge_count} edges",
+            lambda: f"{x}: {g.node_count} nodes, {g.edge_count} edges",
         )
         if p == 0 or p == q:
             continue
         dist = cf_form_distribution(x)
         t.check(
             dist.total() == 1 and dist.mean_degree() == Fraction(4 * q - 2, q),
-            lambda x=x, dist=dist: f"conservation broke at {x}: {dist.entries}",
+            lambda: f"conservation broke at {x}: {dist.entries}",
         )
     return t
 

@@ -238,6 +238,24 @@ class TestContinuant:
         for xs in ((1, 2, 3), (4, 1, 1, 2), (3, 5, 7, 2, 6)):
             assert continuant(xs) == continuant(tuple(reversed(xs)))
 
+    @pytest.mark.parametrize("call", [continuant, suffix_continuants])
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            # continuant([1.5, 2]) was 4.0 and continuant([True, 2]) was 3;
+            # None and 'ab' raised a bare TypeError
+            ([1.5, 2], "float 1.5"),
+            ([True, 2], "bool True"),
+            ([2, None], "NoneType None"),
+            (None, "NoneType None"),
+            (3.5, "float 3.5"),
+            ("ab", "str 'a'"),
+        ],
+    )
+    def test_rejects_bad_terms_by_type(self, call, bad, named):
+        with pytest.raises(NotRationalError, match=f"got {named}$"):
+            call(bad)
+
 
 class TestSuffixContinuants:
     @given(st.lists(st.integers(1, 9), max_size=10))

@@ -15,9 +15,12 @@ from harosgraph.tree import (
     MAX_TREE_LEVEL,
     EnclosingBracket,
     SymbolicPath,
+    _level,
     _level_pairs,
     _pairs_between,
     _parents,
+    _replay,
+    _run_lengths,
     _walk,
     farey_parents,
     iter_farey_pairs,
@@ -278,6 +281,23 @@ class TestSymbolicPath:
         # a path's step count can exceed any C ssize_t; it is read from .steps
         with pytest.raises(TypeError):
             len(symbolic_path(Fraction(2, 7)))
+
+    def test_entry_points_equal_their_integer_cores(self):
+        # verify's path suite calls the cores on (p, q) directly; each entry
+        # point is its checks plus one call to its core
+        big = 10**200 + 7
+        xs = [Fraction(p, q) for p, q in iter_farey_pairs(60) if 0 < p < q]
+        xs += [Fraction(1, q) for q in (2, 3, 255, 256, 10**6, big)]
+        xs += [Fraction(a, b) for a, b in fibonacci_ratios(10**60)]
+        xs += [Fraction(p, big) for p in (3, 10**100 + 1, 10**199 + 3)]
+        for x in xs + [1 - x for x in xs]:
+            p, q = x.numerator, x.denominator
+            path = symbolic_path(x)
+            runs = _run_lengths(p, q)
+            assert [count for _, count in path.runs] == runs
+            assert replay_path(path) == Fraction(*_replay(runs)) == x
+            assert level_index(x) == _level(p, q) == path.steps + 1
+        assert level_index(Fraction(0)) == level_index(Fraction(1)) == 1
 
     def test_roundtrips_exhaustive_f200(self):
         from harosgraph.verify import check_path_roundtrips

@@ -2,12 +2,15 @@
 
 import hashlib
 import re
+import sys
 import tracemalloc
+from collections import Counter
 from datetime import datetime, timezone
 from fractions import Fraction
 
 import pytest
 
+import harosgraph.exact
 import harosgraph.graphs
 import harosgraph.tree
 import harosgraph.verify
@@ -69,9 +72,9 @@ class TestSuites:
         assert t.passed > 0
 
     def test_continuant_identities_catch_corruption(self, monkeypatch):
-        real = harosgraph.verify.continuant
+        real = harosgraph.verify._continuant
         monkeypatch.setattr(
-            harosgraph.verify, "continuant", lambda xs: real(xs) + 1
+            harosgraph.verify, "_continuant", lambda xs: real(xs) + 1
         )
         t = check_continuant_identities(term_grid(range(2, 5), 3))
         assert t.failed > 0
@@ -182,21 +185,21 @@ class TestPlantedBugs:
 
     def test_path_roundtrips_catch_replay(self, monkeypatch):
         def numerator_plus_one(real):
-            def replay(path):
-                x = real(path)
-                return Fraction(x.numerator + 1, x.denominator)
+            def replay(counts):
+                p, q = real(counts)
+                return p + 1, q
 
             return replay
 
-        plant(monkeypatch, harosgraph.verify, "replay_path", numerator_plus_one)
+        plant(monkeypatch, harosgraph.verify, "_replay", numerator_plus_one)
         t = check_path_roundtrips(20)
         assert (t.passed, t.failed) == (254, 127)
         assert t.first_failure.endswith(" missed 1/20")
 
     def test_path_roundtrips_catch_level(self, monkeypatch):
         plant(
-            monkeypatch, harosgraph.verify, "level_index",
-            lambda real: lambda x: real(x) + 1,
+            monkeypatch, harosgraph.verify, "_level",
+            lambda real: lambda p, q: real(p, q) + 1,
         )
         t = check_path_roundtrips(20)
         assert (t.passed, t.failed) == (254, 127)
@@ -252,6 +255,57 @@ class TestDescentRecurrences:
             finally:
                 tracemalloc.stop()
             assert peak - before <= 200 * 2 ** (levels - 1), (levels, peak - before)
+
+
+def calls_during(functions, run):
+    """How many times each of ``functions`` is entered while ``run()`` runs,
+    matched by code object, so a call through any module's name for it
+    counts."""
+    codes = {f.__code__: i for i, f in enumerate(functions)}
+    seen = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            seen[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return [seen[i] for i in range(len(functions))]
+
+
+class TestWorkPerCheck:
+    """The suites check each x on the integer cores: the validation of the
+    public entry points is counted, not timed, so host speed cannot hide a
+    return of it."""
+
+    @pytest.fixture(scope="class")
+    def calls(self):
+        unit, paths, terms = calls_during(
+            [
+                harosgraph.exact._unit_fraction,
+                harosgraph.tree.SymbolicPath.__init__,
+                harosgraph.exact._cf_terms,
+            ],
+            lambda: run_verification("all", order=40, levels=8),
+        )
+        return {"_unit_fraction": unit, "SymbolicPath": paths, "_cf_terms": terms}
+
+    def test_validates_no_x_of_the_path_suite(self, calls):
+        # through symbolic_path and level_index, the path suite validated
+        # each of the 489 interior x twice: 993 calls in all.  The 15 left
+        # are tree_children of the piecewise suite's pivots
+        assert calls["_unit_fraction"] <= 15
+
+    def test_builds_no_symbolic_path(self, calls):
+        # the path suite built one per interior x, 489 in all
+        assert calls["SymbolicPath"] == 0
+
+    def test_expands_no_more_terms(self, calls):
+        # the count before the path suite moved onto the integer cores
+        assert calls["_cf_terms"] <= 3_117
 
 
 class TestRunVerification:
