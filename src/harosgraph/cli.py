@@ -35,7 +35,13 @@ from .distribution import (
 from .errors import AdjacencyError, ResourceLimitError
 from .exact import cf_expand, convergents
 from .graphs import build, identify_boundary
-from .limits import MAX_VERIFY_LEVELS, MAX_VERIFY_ORDER, SUITES
+from .limits import (
+    DEFAULT_VERIFY_LEVELS,
+    DEFAULT_VERIFY_ORDER,
+    MAX_VERIFY_LEVELS,
+    MAX_VERIFY_ORDER,
+    SUITES,
+)
 from .tree import level_index, symbolic_path
 
 EXIT_OK = 0
@@ -430,13 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--order",
         type=_positive_int,
-        default=50,
+        default=DEFAULT_VERIFY_ORDER,
         help=f"Farey order for the bulk checks (max {MAX_VERIFY_ORDER})",
     )
     p_verify.add_argument(
         "--levels",
         type=_positive_int,
-        default=10,
+        default=DEFAULT_VERIFY_LEVELS,
         help=f"tree depth for the descent recurrences (max {MAX_VERIFY_LEVELS})",
     )
     p_verify.add_argument("--suite", choices=SUITES, default="all")

@@ -303,6 +303,8 @@ def iter_identified_counts(
     """
     ks = [_integer(k, "a degree") for k in _tuple(degrees, "the degrees to count")]
     max_denominator = _integer(max_denominator, "a Farey order")
+    if max_denominator < 1:
+        raise ValueError(f"Farey order must be >= 1, got {max_denominator}")
     index = {k: i for i, k in enumerate(ks)}
     if len(index) != len(ks):
         raise ValueError(f"degrees must be distinct, got {ks}")

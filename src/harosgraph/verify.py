@@ -4,9 +4,10 @@ in bulk over Farey sequences and tree levels.
 Each check function walks a family of cases, tallies exact pass/fail
 counts, and records the first counterexample as plain fractions.  The CLI
 ``verify`` command and the acceptance tests both run these; the CLI loads
-this module only when a ``verify`` command runs.  The suite names and the
-caps on order and levels are defined in :mod:`harosgraph.limits`, which the
-parser reads, and are the same objects here.
+this module only when a ``verify`` command runs.  The suite names, and the
+defaults and caps of order and levels, are defined in
+:mod:`harosgraph.limits`, which the parser reads; they are the same objects
+here.
 """
 
 from __future__ import annotations
@@ -21,7 +22,13 @@ from .distribution import _cf_form_counts, cf_form_distribution
 from .errors import ResourceLimitError
 from .exact import _Record, _cf_terms, _continuant, _integer, _suffix_continuants
 from .graphs import _degrees, _identified_counts, build
-from .limits import MAX_VERIFY_LEVELS, MAX_VERIFY_ORDER, SUITES
+from .limits import (
+    DEFAULT_VERIFY_LEVELS,
+    DEFAULT_VERIFY_ORDER,
+    MAX_VERIFY_LEVELS,
+    MAX_VERIFY_ORDER,
+    SUITES,
+)
 from .tree import (
     LEFT,
     MAX_TREE_LEVEL,
@@ -140,8 +147,9 @@ class RunManifest(_Record):
 
 def term_grid(lengths: Iterable[int], max_term: int) -> Iterator[tuple[int, ...]]:
     """Every integer list with the given lengths and terms in 1..max_term."""
+    terms = range(1, _integer(max_term, "a term") + 1)
     for n in lengths:
-        yield from itertools.product(range(1, max_term + 1), repeat=n)
+        yield from itertools.product(terms, repeat=_integer(n, "a term-list length"))
 
 
 def random_term_lists(count: int) -> Iterator[tuple[int, ...]]:
@@ -457,7 +465,9 @@ def _now() -> str:
 
 
 def run_verification(
-    suite: str = "all", order: int = 50, levels: int = 10
+    suite: str = "all",
+    order: int = DEFAULT_VERIFY_ORDER,
+    levels: int = DEFAULT_VERIFY_LEVELS,
 ) -> tuple[RunManifest, list[Tally]]:
     """Run the named suite and return the manifest plus per-check tallies."""
     if suite not in SUITES:

@@ -5,8 +5,10 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,10 @@ def _fibonacci_ratio(n):
 # F_479/F_480: 100 digits, 479 rows, 287 of them reduced by a large factor
 # shared with q
 F_480 = _fibonacci_ratio(480)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+DIST_10_23_SHA256 = "1f7ffa7e0af8ee9fc93ab33343422bc19d65385d78ee18af16fb129d0d7dc606"
 
 # Python's cap on the digits int() reads from a string; 0 means none
 INT_DIGITS_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -196,6 +202,34 @@ class TestBuild:
         )
         assert run(capsys, "build", fraction, "--format", "csv")[1] == table.getvalue()
 
+    @pytest.mark.parametrize(
+        "fraction, fmt, digest",
+        [
+            # both sides of the one-byte degree edge
+            ("1/254", "json", "667d6e940934d4cd15d34c83373a8824d5d845e1394da9fd1669336f4bb5c981"),
+            ("2/505", "json", "7fac77804b100a04065b25a27f943fb12fa3ebf1f753faa643b68531252f1190"),
+            ("1/255", "json", "3c7436a390885bbb156c489f93e386fc97068d751f8c3ed8ca9a6d3d2949c2e5"),
+            ("1/256", "json", "a36955edde8ef7703fb4e3b668aeb16bae68ba4fabe3d37af0d74c9e251c7b85"),
+            ("2/507", "json", "7049fcda366e2e14865cd1fc4573bc63300b8ab134d80843809d24d92856e085"),
+            ("6765/10946", "json", "506e0a797cf5b79a5a8b5372c5d77b5fa387c90c8e462a4dca5aa15829fc119e"),
+            # the extreme degree 4096 is the only wide one: counted in C
+            ("1/4096", "json", "3b6f3e591d103b236465234186cfd3f686dbfc4be03571f6bfa196d888c1250d"),
+            # 2/601 = [300, 2]: an interior degree of 303, counted by a Counter
+            ("2/601", "json", "e7dd662048652a1cc4eb30de71f60f274ebe4fde8b545238fbd2bd63acd9a58c"),
+            # 514,230 degrees, in both formats: the degrees are written as one join
+            ("317811/514229", "json",
+             "448524ee0cec4d897a0db4fc4818d4237deb8a98466b0f5afc87bd5222ce4c8c"),
+            ("317811/514229", "csv",
+             "5cecf26b022ad01b3f7fa5e9e45cfc22cfeac6ee14bcaffa0adb336e4c6d798e"),
+        ],
+        ids=["1/254", "2/505", "1/255", "1/256", "2/507", "6765/10946", "1/4096", "2/601",
+             "317811/514229-json", "317811/514229-csv"],
+    )
+    def test_pinned_bytes(self, capsys, fraction, fmt, digest):
+        code, out, err = run(capsys, "build", fraction, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_cap_exits_3(self, capsys):
         code, _, err = run(capsys, "build", "10/23", "--max-q", "10")
         assert code == 3
@@ -336,22 +370,29 @@ class TestDist:
         code, out, _ = run(capsys, "dist", "1/4", "--method", "oracle")
         assert out == "k  oracle\n2  1/4\n3  1/2\n6  1/4\n"
 
-    # the same digests are checked on `python -m harosgraph.cli dist` in CI
     @pytest.mark.parametrize(
         "fraction, method, digest",
         [
             ("1/4096", "all", "d7ffa7aa8b5ddce0c63cf97a3793931265aae9241c36c156f650712693e15669"),
             ("6765/10946", "all", "9a55701747fae31dc43dbb79abc2c97bdffce5f5284ba3ef3f735c554eba1a38"),
             ("46368/75025", "all", "fc0e430b2d7c6e552cce8fff72866976fdc7dd076ff8b7fd97f01bbb436a449e"),
-            ("10/23", "all", "1f7ffa7e0af8ee9fc93ab33343422bc19d65385d78ee18af16fb129d0d7dc606"),
+            ("10/23", "all", DIST_10_23_SHA256),
+            # level 254 (degrees up to 255, one byte each) and level 255 (four)
+            ("2/505", "all", "f4f0854d94de7dbe179547d7a83bbc5c98c1bef1df2b3ed3b0bdd720784400bf"),
+            ("2/507", "all", "29bba3c6e8ee9540aac9a42f74305d964a05f254b64c6dd720cfaa24d63a6e37"),
+            # four-byte arrays: an interior degree of 303, and the interior of
+            # 1/10^6 counted through its low bytes
+            ("2/601", "all", "81223d4daeb8714aac85c670b280e02c1a3e9758c42cfb8605d4dc583a6692f8"),
+            ("1/1000000", "all", "8eee01ec6a63028045517a92fd6c1e14aa0a9d1eba6f8feead5cece9a1d9e817"),
             (f"3/{10**200 + 7}", "thm2", "11a6f5fc441d98e42eb694ef8139b33f01084c931dcdeee122093b844ef6f8f2"),
             # the mirror of the last one, descended above 1/2: the same table
             (f"{10**200 + 4}/{10**200 + 7}", "thm2", "11a6f5fc441d98e42eb694ef8139b33f01084c931dcdeee122093b844ef6f8f2"),
             (F_480, "thm1", "37d69e0b35ab6a9351f61917fad4cd25ca2eb54d60172593f63eb63c2e727938"),
             (F_480, "thm2", "95d161328821ec30ef523b002e647ee7fe13b3b0780286ca15420c03a67505df"),
         ],
-        ids=["1/4096", "6765/10946", "46368/75025", "10/23", "3/(10^200+7)",
-             "(10^200+4)/(10^200+7)", "F_479/F_480-thm1", "F_479/F_480-thm2"],
+        ids=["1/4096", "6765/10946", "46368/75025", "10/23", "2/505", "2/507", "2/601",
+             "1/1000000", "3/(10^200+7)", "(10^200+4)/(10^200+7)", "F_479/F_480-thm1",
+             "F_479/F_480-thm2"],
     )
     def test_pinned_bytes(self, capsys, fraction, method, digest):
         code, out, err = run(capsys, "dist", fraction, "--method", method)
@@ -402,21 +443,32 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize(
-        "fmt, digest",
+        "ks, order, fmt, rows, digest",
         [
-            ("csv", "e13502c9cb0a19864836b4eab09ac4aab5f787cb96f8936287c2f7d3b9f37909"),
-            ("json", "d547f6feb3be6beaed83f755b17f9926616b3e81a482bd210443f2bbeccbe72f"),
+            ("5,6,7,8", 40, "csv", 1956,
+             "e13502c9cb0a19864836b4eab09ac4aab5f787cb96f8936287c2f7d3b9f37909"),
+            ("5,6,7,8", 40, "json", 1956,
+             "d547f6feb3be6beaed83f755b17f9926616b3e81a482bd210443f2bbeccbe72f"),
+            ("5,6,7,8", 300, "csv", 109_588,
+             "1c4c0a26e3959d6b1838206973b4ded70777a8ecf6c1c739418246097f031ee5"),
+            ("5,6,7,8", 300, "json", 109_588,
+             "580cec405b5cd33a286ddff92ceaa4006bd49128dfa893fd377b18e201415f6e"),
+            # degrees with gaps between them
+            ("5,9,13,40", 300, "csv", 109_588,
+             "41d0a6562b617fb25ac9b115b7b89db7b886edb8f03d698449739a6c20f02d38"),
         ],
+        ids=["5-8-order-40-csv", "5-8-order-40-json", "5-8-order-300-csv",
+             "5-8-order-300-json", "gaps-order-300-csv"],
     )
-    def test_pinned_bytes_order_40(self, capsys, tmp_path, fmt, digest):
+    def test_pinned_bytes(self, capsys, tmp_path, ks, order, fmt, rows, digest):
         out_file = tmp_path / f"s.{fmt}"
         code, out, _ = run(
-            capsys, "sweep", "--k", "5,6,7,8", "--order", "40",
+            capsys, "sweep", "--k", ks, "--order", str(order),
             "--out", str(out_file), "--format", fmt,
         )
         assert code == 0
-        assert out.endswith("wrote 1956 rows to " + str(out_file)
-                            + "; max cross-method discrepancy: 0/1\n")
+        assert out.endswith(f"wrote {rows} rows to {out_file}"
+                            "; max cross-method discrepancy: 0/1\n")
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
     def test_json_mirrors_field_names(self, capsys, tmp_path):
@@ -626,6 +678,20 @@ class TestVerify:
         code, out, _ = run(capsys, "verify")
         assert code == 1
         assert json.loads(out)["first_failure"] == "synthetic: 1/2 vs 1/3"
+
+
+def test_runs_as_a_module():
+    # python -m harosgraph.cli: its output and its exit codes reach the shell
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "harosgraph.cli", *argv],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, timeout=120,
+        )
+
+    dist = module("dist", "10/23", "--method", "all")
+    assert (dist.returncode, dist.stderr) == (0, b"")
+    assert hashlib.sha256(dist.stdout).hexdigest() == DIST_10_23_SHA256
+    assert module("build", "10/23", "--max-q", "10").returncode == 3
 
 
 def test_help_exits_0(capsys):

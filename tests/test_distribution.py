@@ -63,6 +63,7 @@ from harosgraph.verify import (
     check_descent_recurrences,
     check_piecewise_linearity,
     run_verification,
+    term_grid,
 )
 from test_tree import fibonacci_ratios, stepwise_brackets
 
@@ -243,7 +244,8 @@ def test_degree_below_five_is_a_value_error(name):
 # took a bool run (a float one raised a bare TypeError) and ContinuedFraction
 # a bool or float term.  A float or str row cap, and None for the degrees of
 # the sweep, its row count or the oracle walk, raised a bare TypeError, and
-# the row count took a bool cap (True returned 3, above its cap of 1)
+# the row count took a bool cap (True returned 3, above its cap of 1).
+# term_grid's float term cap or length raised a bare TypeError
 @pytest.mark.parametrize(
     "call",
     [
@@ -278,6 +280,8 @@ def test_degree_below_five_is_a_value_error(name):
         lambda: replay_path(SymbolicPath((("L", 2), ("R", 1.0)))),
         lambda: ContinuedFraction((1.5, 2)),
         lambda: ContinuedFraction((True, 2)),
+        lambda: list(term_grid([2], 1.5)),
+        lambda: list(term_grid([2.0], 3)),
     ],
     ids=[
         "iter_farey_pairs(3.5)", "iter_farey_pairs(True)",
@@ -296,6 +300,7 @@ def test_degree_below_five_is_a_value_error(name):
         "check_descent_recurrences(3, 4.0)", "check_descent_recurrences(True, 4)",
         "replay_path(L^True)", "replay_path(R^1.0)",
         "ContinuedFraction((1.5, 2))", "ContinuedFraction((True, 2))",
+        "term_grid(max_term=1.5)", "term_grid(lengths=[2.0])",
     ],
 )
 def test_bad_order_level_or_mediant_input_is_a_package_type_error(call):
@@ -327,8 +332,10 @@ def test_non_graph_input_is_a_package_type_error_naming_its_type(call, expected)
 
 # A zero denominator used to build a distribution whose probability(2) and
 # total() raised ZeroDivisionError; a repeated degree would have lost its
-# walk slot; replay_path read any symbol but L as R (L X^2 gave 3/4); a
-# hand-built SymbolicPath spelled any runs (X^2 L^True was 'XXL', 3 steps)
+# walk slot; the oracle walk yielded nothing below order 1, where
+# iter_farey_pairs and the sweep refuse it; replay_path read any symbol but
+# L as R (L X^2 gave 3/4); a hand-built SymbolicPath spelled any runs
+# (X^2 L^True was 'XXL', 3 steps)
 @pytest.mark.parametrize(
     "call",
     [
@@ -336,6 +343,8 @@ def test_non_graph_input_is_a_package_type_error_naming_its_type(call, expected)
         lambda: DegreeDistribution({2: 1}, -2),
         lambda: list(iter_identified_counts([5, 6, 5], 10)),
         lambda: list(iter_identified_counts([2, 2], 1)),
+        lambda: list(iter_identified_counts([5], 0)),
+        lambda: list(iter_identified_counts([5], -5)),
         lambda: replay_path(SymbolicPath((("L", 1), ("X", 2)))),
         lambda: replay_path(SymbolicPath((("L", 1), ("l", 2)))),
         lambda: SymbolicPath((("X", 2), ("L", True))),
@@ -346,6 +355,7 @@ def test_non_graph_input_is_a_package_type_error_naming_its_type(call, expected)
     ids=[
         "DegreeDistribution(0)", "DegreeDistribution(-2)",
         "iter_identified_counts([5, 6, 5])", "iter_identified_counts([2, 2], 1)",
+        "iter_identified_counts(0)", "iter_identified_counts(-5)",
         "replay_path(X^2)", "replay_path(l^2)",
         "SymbolicPath(X^2 L^True)", "SymbolicPath(L L^2)", "SymbolicPath(R^2)",
         "SymbolicPath()",

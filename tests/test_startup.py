@@ -82,3 +82,15 @@ def test_verify_reexports_the_limits():
         assert name in harosgraph.verify.__all__
     assert harosgraph.limits.SUITES == ("all", "identities", "recurrences", "triple", "corollary")
     assert (harosgraph.limits.MAX_VERIFY_ORDER, harosgraph.limits.MAX_VERIFY_LEVELS) == (1000, 16)
+
+
+def test_parser_and_run_verification_share_the_verify_defaults():
+    # the parser and run_verification both take them from limits
+    import harosgraph.cli
+
+    limits = harosgraph.limits
+    defaults = (limits.DEFAULT_VERIFY_ORDER, limits.DEFAULT_VERIFY_LEVELS)
+    assert defaults == (50, 10)
+    args = harosgraph.cli.build_parser().parse_args(["verify"])
+    assert (args.order, args.levels) == defaults
+    assert harosgraph.verify.run_verification.__defaults__ == ("all", *defaults)

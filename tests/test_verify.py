@@ -212,7 +212,11 @@ class TestDescentRecurrences:
 
     @pytest.mark.parametrize(
         "levels, passed",
-        [((1, 6), 68), ((2, 6), 68), ((3, 8), 516), ((4, 8), 516), ((5, 10), 3_072)],
+        [
+            ((1, 6), 68), ((2, 6), 68), ((3, 8), 516), ((4, 8), 516), ((5, 10), 3_072),
+            # the levels cap
+            ((3, 16), 393_220),
+        ],
     )
     def test_pinned_tallies(self, levels, passed):
         t = check_descent_recurrences(*levels)
@@ -309,19 +313,42 @@ class TestWorkPerCheck:
 
 
 class TestRunVerification:
-    def test_pinned_tallies_at_order_150(self):
-        # pinned per suite: a change that moves two tallies in opposite
-        # directions keeps the total
-        manifest, tallies = run_verification("all", order=150, levels=13)
-        assert {t.name: (t.passed, t.failed) for t in tallies} == {
-            "continuant-identities": (14_912, 0),
-            "cf-continuant-link": (6_858, 0),
-            "path-roundtrips": (20_571, 0),
-            "descent-recurrences": (36_868, 0),
-            "triple-equality": (138_422, 0),
-            "piecewise-linearity": (135, 0),
+    # pinned per suite: a change that moves two tallies in opposite
+    # directions keeps the total
+    @pytest.mark.parametrize(
+        "suite, order, levels, tallies, passed",
+        [
+            (
+                "all", 150, 13,
+                {
+                    "continuant-identities": 14_912,
+                    "cf-continuant-link": 6_858,
+                    "path-roundtrips": 20_571,
+                    "descent-recurrences": 36_868,
+                    "triple-equality": 138_422,
+                    "piecewise-linearity": 135,
+                },
+                217_766,
+            ),
+            # the largest verify order
+            (
+                "identities", 1000, 3,
+                {
+                    "continuant-identities": 14_912,
+                    "cf-continuant-link": 304_192,
+                    "path-roundtrips": 912_573,
+                },
+                1_231_677,
+            ),
+        ],
+        ids=["all-150-13", "identities-1000"],
+    )
+    def test_pinned_tallies(self, suite, order, levels, tallies, passed):
+        manifest, run = run_verification(suite, order=order, levels=levels)
+        assert {t.name: (t.passed, t.failed) for t in run} == {
+            name: (n, 0) for name, n in tallies.items()
         }
-        assert manifest.checks_passed == 217_766
+        assert (manifest.checks_passed, manifest.checks_failed) == (passed, 0)
 
     def test_all_suites_pass(self):
         manifest, tallies = run_verification("all", order=30, levels=8)
