@@ -42,7 +42,6 @@ from .tree import (
     BracketSide,
     EnclosingBracket,
     SymbolicPath,
-    TreeLevel,
     farey_parents,
     iter_farey_pairs,
     level_index,
@@ -67,7 +66,6 @@ __all__ = [
     "NotRationalError",
     "ResourceLimitError",
     "SymbolicPath",
-    "TreeLevel",
     "build",
     "cf_expand",
     "cf_form_distribution",

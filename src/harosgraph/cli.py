@@ -56,10 +56,19 @@ SWEEP_CSV_HEADER = (
     "x_num,x_den,x_float,k,"
     "p_thm1_num,p_thm1_den,p_thm2_num,p_thm2_den,p_oracle_num,p_oracle_den"
 )
-# A JSON sweep record keyed by the CSV columns; %r writes x_float as json.dumps does
-SWEEP_JSON_RECORD = "{%s}" % ", ".join(
+# A JSON record keyed by the CSV columns, cut before the value of k; %r
+# writes x_float as json.dumps does
+_JSON_PREFIX, _JSON_TAIL = ("{%s}" % ", ".join(
     '"%s": %s' % (name, "%r" if name == "x_float" else "%d") for name in SWEEP_CSV_HEADER.split(",")
-)
+)).split('"k": ')
+# A sweep file in each format: its head; the row prefix on (p, q, x_float)
+# and the row tail on (k, n1, d1, n2, d2, n3, d3); its foot; and how many
+# characters to drop of what follows the head, the "," before the first JSON
+# record or the "\n" of an empty array's foot
+_SWEEP_TEXT = {
+    "csv": (SWEEP_CSV_HEADER + "\n", "%d,%d,%.17g,", "%d,%d,%d,%d,%d,%d,%d\n", "", 0),
+    "json": ("[", ",\n" + _JSON_PREFIX + '"k": ', _JSON_TAIL, "\n]\n", 1),
+}
 
 _FRACTION_RE = re.compile(r"\s*(\d+)\s*/\s*(\d+)\s*\Z")
 
@@ -271,14 +280,14 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     out_path = args.out
     tmp_path = out_path + ".partial"
-    as_csv = args.format == "csv"
+    head, prefix_format, tail, foot, skip = _SWEEP_TEXT[args.format]
     ks = args.k
     count = 0
     worst = Fraction(0)
-    # Most rows of a sweep are zero in all three columns: their CSV tail after
+    # Most rows of a sweep are zero in all three columns: their tail after
     # the prefix depends on k alone.  A third of the x are zero at every k,
     # and each of those is the prefix joined to the prebuilt tails.
-    zero_tails = {k: "%d,0,1,0,1,0,1\n" % k for k in ks}
+    zero_tails = {k: tail % (k, 0, 1, 0, 1, 0, 1) for k in ks}
     zero_group = ["", *zero_tails.values()]
     try:
         handle = open(tmp_path, "w", newline="")
@@ -286,15 +295,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise _UsageError(f"cannot write {out_path!r}: {exc}")
     try:
         with handle:
-            handle.write(SWEEP_CSV_HEADER + "\n" if as_csv else "[")
-            separator = "\n"  # before each JSON record; ",\n" after the first
+            handle.write(head)
             for p, q, thm1, thm2, oracle in sweep(ks, args.order, row_cap=args.max_rows):
-                count += len(ks)
-                x_float = p / q
-                # each x is written as one string: the CSV prefix joins the
-                # row tails, the JSON records stand whole
-                prefix = f"{p},{q},{x_float:.17g}," if as_csv else ""
-                if as_csv and thm1 == thm2 == oracle:
+                # each x is written as one string, its prefix joining the row tails
+                prefix = prefix_format % (p, q, p / q)
+                if thm1 == thm2 == oracle:
                     if not any(thm1):
                         tails = zero_group
                     else:
@@ -303,31 +308,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                         tails = [""]
                         for k, a in zip(ks, thm1):
                             if a:
-                                cell = "%d,%d" % (a // (g := gcd(a, q)), q // g)
-                                tails.append(f"{k},{cell},{cell},{cell}\n")
+                                n, d = a // (g := gcd(a, q)), q // g
+                                tails.append(tail % (k, n, d, n, d, n, d))
                             else:
                                 tails.append(zero_tails[k])
-                else:  # JSON, or an x whose columns differ: row by row
+                else:  # an x whose columns differ: row by row
                     tails = [""]
                     for k, a, b, c in zip(ks, thm1, thm2, oracle):
                         if not a == b == c:
                             # the three counts share the denominator q
                             worst = max(worst, Fraction(max(a, b, c) - min(a, b, c), q))
                         # each count over q in lowest terms: numerator, denominator
-                        cells = (
+                        tails.append(tail % (
                             k,
                             a // (g := gcd(a, q)), q // g,
                             b // (g := gcd(b, q)), q // g,
                             c // (g := gcd(c, q)), q // g,
-                        )
-                        if as_csv:
-                            tails.append("%d,%d,%d,%d,%d,%d,%d\n" % cells)
-                        else:
-                            tails.append(separator + SWEEP_JSON_RECORD % ((p, q, x_float) + cells))
-                            separator = ",\n"
-                handle.write(prefix.join(tails))
-            if not as_csv:
-                handle.write("\n]\n" if count else "]\n")
+                        ))
+                text = prefix.join(tails)
+                handle.write(text if count else text[skip:])
+                count += len(ks)
+            handle.write(foot if count else foot[skip:])
         os.replace(tmp_path, out_path)
     except OSError as exc:
         raise _UsageError(f"cannot write {out_path!r}: {exc}")

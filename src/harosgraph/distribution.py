@@ -67,8 +67,10 @@ class DegreeDistribution(_Value):
     inside the unit interval the counts are positive and sum to q; the
     endpoints carry an empty map.  ``counts`` is a read-only copy of the
     map passed in, and ``entries`` gives the same data as a read-only map
-    degree -> :class:`~fractions.Fraction`.  Counts that are not a mapping
-    raise :class:`NotRationalError`.  The denominator is an int >= 1:
+    degree -> :class:`~fractions.Fraction`.  Counts that are not a mapping,
+    or a degree or count that is not an integer, raise
+    :class:`NotRationalError`, and a negative count raises ValueError; the
+    counts are not checked to sum to q.  The denominator is an int >= 1:
     anything else raises :class:`NotRationalError` or ValueError.
     """
 
@@ -81,12 +83,23 @@ class DegreeDistribution(_Value):
         if q < 1:
             raise ValueError(f"the denominator must be >= 1, got {q}")
         try:
-            counts = MappingProxyType(dict(counts))
+            counts = dict(counts)
         except (TypeError, ValueError):
             raise NotRationalError(
                 f"counts must be a mapping, got {type(counts).__name__} {counts!r}"
             ) from None
-        object.__setattr__(self, "counts", counts)
+        # Each degree and count goes through _integer, which returns an int as
+        # it is: one pass over the support (m + 3 entries for each route's
+        # map) finds the first entry that is not, and only then is the map
+        # rebuilt through _integer
+        for k, m in counts.items():
+            if type(k) is not int or type(m) is not int:
+                counts = {_integer(k, "a degree"): _integer(m, "a count") for k, m in counts.items()}
+                break
+        if min(counts.values(), default=0) < 0:
+            k = next(k for k, m in counts.items() if m < 0)
+            raise ValueError(f"counts must be >= 0, got {counts[k]} nodes of degree {k}")
+        object.__setattr__(self, "counts", MappingProxyType(counts))
         object.__setattr__(self, "denominator", q)
 
     def __reduce__(self) -> tuple:

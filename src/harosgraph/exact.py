@@ -130,9 +130,9 @@ def _integer(n: int, what: str) -> int:
 
 def _tuple(xs: Iterable, what: str) -> tuple:
     """xs as a tuple (xs itself when it is one, at no cost), the ``what`` of
-    a term list, a path, a graph or a tree level; a float, bool, None or
-    anything else that cannot be iterated raises :class:`NotRationalError`
-    naming its type."""
+    a term list, a path or a graph; a float, bool, None or anything else
+    that cannot be iterated raises :class:`NotRationalError` naming its
+    type."""
     try:
         return tuple(xs)
     except TypeError:

@@ -29,7 +29,6 @@ __all__ = [
     "BracketSide",
     "EnclosingBracket",
     "SymbolicPath",
-    "TreeLevel",
     "farey_parents",
     "iter_farey_pairs",
     "level_index",
@@ -112,25 +111,6 @@ class SymbolicPath(_Value):
         return sum(count for _, count in self.runs)
 
 
-class TreeLevel(_Value):
-    """One level of the Farey binary tree, fractions in increasing order.
-
-    An index that is not an integer, or fractions that are not a sequence,
-    raise :class:`NotRationalError`.
-    """
-
-    __match_args__ = ("index", "fractions")
-    index: int
-    fractions: tuple[Fraction, ...]
-
-    def __init__(self, index: int, fractions: Sequence[Fraction]) -> None:
-        object.__setattr__(self, "index", _integer(index, "a tree level"))
-        object.__setattr__(self, "fractions", _tuple(fractions, "the fractions of a level"))
-
-    def __len__(self) -> int:
-        return len(self.fractions)
-
-
 class BracketSide(Enum):
     """Where a fraction sits relative to a pivot level and its child level."""
 
@@ -209,8 +189,9 @@ def _pairs_between(a: int, b: int, c: int, d: int, n: int) -> Iterator[tuple[int
         a, b, e, f = e, f, k * e - a, k * f - b
 
 
-def tree_level(k: int) -> TreeLevel:
-    """The fractions of tree level k: {0/1, 1/1}, {1/2}, {1/3, 2/3}, ..."""
+def tree_level(k: int) -> tuple[Fraction, ...]:
+    """The fractions of tree level k in increasing order: (0/1, 1/1),
+    (1/2,), (1/3, 2/3), ..."""
     k = _integer(k, "a tree level")
     if k < 1:
         raise ValueError(f"levels are numbered from 1, got {k}")
@@ -219,8 +200,8 @@ def tree_level(k: int) -> TreeLevel:
             f"level {k} holds 2**{k - 2} fractions; the cap is {MAX_TREE_LEVEL}"
         )
     if k == 1:
-        return TreeLevel(1, (Fraction(0), Fraction(1)))
-    return TreeLevel(k, tuple([Fraction(p, q) for p, q in _level_pairs(k)]))
+        return (Fraction(0), Fraction(1))
+    return tuple([Fraction(p, q) for p, q in _level_pairs(k)])
 
 
 def _level_pairs(k: int):

@@ -384,7 +384,7 @@ def check_piecewise_linearity(order: int) -> Tally:
     t = Tally("piecewise-linearity")
     order = _integer(order, "a Farey order")  # _pairs_between trusts it
     for k in (5, 6, 7, 8):
-        for pivot in tree_level(k - 3).fractions:
+        for pivot in tree_level(k - 3):
             lower, upper = tree_children(pivot)
             a, b = pivot.numerator, pivot.denominator
             for lo, hi, child in ((lower, pivot, lower), (pivot, upper, upper)):

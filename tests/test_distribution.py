@@ -2,8 +2,6 @@
 
 import ast
 import math
-import os
-import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -14,7 +12,6 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-import harosgraph
 from harosgraph.distribution import (
     ROW_COUNT_MAX_SIEVE,
     DegreeDistribution,
@@ -65,6 +62,7 @@ from harosgraph.verify import (
     run_verification,
     term_grid,
 )
+from executed_lines import executed_lines
 from test_tree import fibonacci_ratios, stepwise_brackets
 
 
@@ -239,13 +237,15 @@ def test_degree_below_five_is_a_value_error(name):
 # Each used to slip through or die inside: iter_farey_pairs(3.5) and
 # iter_identified_counts(3.5) yielded, the sweep, its row count,
 # iter_identified_counts("a") and check_descent_recurrences(3, 4.0) raised a
-# bare TypeError, tree_level(3.0) gave TreeLevel(index=3.0, ...), mediant an
+# bare TypeError, tree_level(3.0) gave a level indexed 3.0, mediant an
 # AttributeError, a float denominator made a DegreeDistribution, replay_path
 # took a bool run (a float one raised a bare TypeError) and ContinuedFraction
 # a bool or float term.  A float or str row cap, and None for the degrees of
 # the sweep, its row count or the oracle walk, raised a bare TypeError, and
 # the row count took a bool cap (True returned 3, above its cap of 1).
-# term_grid's float term cap or length raised a bare TypeError
+# term_grid's float term cap or length raised a bare TypeError.  A
+# DegreeDistribution took a float or bool count or degree; its total() then
+# raised a bare TypeError or counted True as 1
 @pytest.mark.parametrize(
     "call",
     [
@@ -274,6 +274,10 @@ def test_degree_below_five_is_a_value_error(name):
         lambda: list(iter_identified_counts([5.0], 10)),
         lambda: DegreeDistribution({}, 2.0),
         lambda: DegreeDistribution({}, True),
+        lambda: DegreeDistribution({2: 1.5}, 2),
+        lambda: DegreeDistribution({2: True}, 2),
+        lambda: DegreeDistribution({2.0: 1}, 2),
+        lambda: DegreeDistribution({"2": 1}, 2),
         lambda: check_descent_recurrences(3, 4.0),
         lambda: check_descent_recurrences(True, 4),
         lambda: replay_path(SymbolicPath((("L", True),))),
@@ -297,6 +301,8 @@ def test_degree_below_five_is_a_value_error(name):
         "iter_identified_counts(3.5)", "iter_identified_counts('a')",
         "iter_identified_counts([5.0])",
         "DegreeDistribution(2.0)", "DegreeDistribution(True)",
+        "DegreeDistribution({2: 1.5})", "DegreeDistribution({2: True})",
+        "DegreeDistribution({2.0: 1})", "DegreeDistribution({'2': 1})",
         "check_descent_recurrences(3, 4.0)", "check_descent_recurrences(True, 4)",
         "replay_path(L^True)", "replay_path(R^1.0)",
         "ContinuedFraction((1.5, 2))", "ContinuedFraction((True, 2))",
@@ -331,7 +337,8 @@ def test_non_graph_input_is_a_package_type_error_naming_its_type(call, expected)
 
 
 # A zero denominator used to build a distribution whose probability(2) and
-# total() raised ZeroDivisionError; a repeated degree would have lost its
+# total() raised ZeroDivisionError, and a negative count one whose total()
+# was negative; a repeated degree would have lost its
 # walk slot; the oracle walk yielded nothing below order 1, where
 # iter_farey_pairs and the sweep refuse it; replay_path read any symbol but
 # L as R (L X^2 gave 3/4); a hand-built SymbolicPath spelled any runs
@@ -341,6 +348,8 @@ def test_non_graph_input_is_a_package_type_error_naming_its_type(call, expected)
     [
         lambda: DegreeDistribution({}, 0),
         lambda: DegreeDistribution({2: 1}, -2),
+        lambda: DegreeDistribution({2: -1}, 2),
+        lambda: DegreeDistribution({2: 3, 3: -1}, 2),
         lambda: list(iter_identified_counts([5, 6, 5], 10)),
         lambda: list(iter_identified_counts([2, 2], 1)),
         lambda: list(iter_identified_counts([5], 0)),
@@ -354,6 +363,7 @@ def test_non_graph_input_is_a_package_type_error_naming_its_type(call, expected)
     ],
     ids=[
         "DegreeDistribution(0)", "DegreeDistribution(-2)",
+        "DegreeDistribution({2: -1})", "DegreeDistribution({2: 3, 3: -1})",
         "iter_identified_counts([5, 6, 5])", "iter_identified_counts([2, 2], 1)",
         "iter_identified_counts(0)", "iter_identified_counts(-5)",
         "replay_path(X^2)", "replay_path(l^2)",
@@ -385,28 +395,6 @@ def _oracle_peak_bytes(x):
     return peak - before
 
 
-def _python_lines(call, *args):
-    """Python lines call(*args) executes in harosgraph frames."""
-    package = os.path.dirname(harosgraph.__file__)
-    lines = 0
-
-    def local(frame, event, arg):
-        nonlocal lines
-        lines += event == "line"
-        return local
-
-    def calls(frame, event, arg):
-        return local if frame.f_code.co_filename.startswith(package) else None
-
-    previous = sys.gettrace()
-    sys.settrace(calls)
-    try:
-        call(*args)
-    finally:
-        sys.settrace(previous)
-    return lines
-
-
 class TestDegreeDistributionOracle:
     def test_endpoints_are_empty(self):
         assert degree_distribution_oracle(Fraction(0)).entries == {}
@@ -432,7 +420,7 @@ class TestDegreeDistributionOracle:
             assert peak <= 12 * (x.denominator + 1), (x, peak)
         for (q0, p0), (q1, p1) in zip(zip(qs, peaks), zip(qs[1:], peaks[1:])):
             assert p1 / p0 <= 2.2 ** math.log2(q1 / q0), (q0, p0, q1, p1)
-        lines = [_python_lines(degree_distribution_oracle, x) for x in xs]
+        lines = [executed_lines(degree_distribution_oracle, x) for x in xs]
         terms = [len(cf_expand(x)) for x in xs]
         if len(set(terms)) == 1:
             assert len(set(lines)) == 1, lines
@@ -481,8 +469,8 @@ class TestIntervalFormValue:
 
         def literal(k, x):
             y = min(x, 1 - x)
-            pivots = tree_level(k - 3).fractions
-            children = tree_level(k - 2).fractions
+            pivots = tree_level(k - 3)
+            children = tree_level(k - 2)
             if y in children:
                 return Fraction(1, y.denominator)
             for i, pivot in enumerate(pivots):
@@ -603,17 +591,17 @@ class TestIntervalFormCounts:
             p, q = _fibonacci(m + 1), _fibonacci(m + 2)
             assert len(cf_expand(Fraction(p, q))) == m
             assert _walk((m + 3,), p, q)[0] == [1]
-            lines.append(_python_lines(_walk, (m + 3,), p, q))
+            lines.append(executed_lines(_walk, (m + 3,), p, q))
         for l0, l1 in zip(lines, lines[1:]):
             assert l1 <= 2.2 * l0, lines
         # One bigint run: the same lines wherever the descent stops in it,
         # and whether that is one step short of the run's end or at it; the
         # first run of 2/(2·10^200 + 1) = [10^200, 2] ends at degree end
         q = 10**200 + 7
-        lines = {_python_lines(_walk, (k,), 1, q) for k in (10, 10**2, 10**3, 10**4)}
+        lines = {executed_lines(_walk, (k,), 1, q) for k in (10, 10**2, 10**3, 10**4)}
         assert len(lines) == 1, lines
         end = 10**200 + 4
-        lines |= {_python_lines(_walk, (k,), 2, 2 * 10**200 + 1) for k in (end - 1, end)}
+        lines |= {executed_lines(_walk, (k,), 2, 2 * 10**200 + 1) for k in (end - 1, end)}
         assert _walk((end - 1, end), 2, 2 * 10**200 + 1) == ([1, 1], (2, 1))
         assert len(lines) == 1, lines
 

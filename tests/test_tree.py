@@ -167,10 +167,10 @@ class TestPairsBetween:
 
 class TestTreeLevel:
     def test_first_levels(self):
-        assert tree_level(1).fractions == (Fraction(0), Fraction(1))
-        assert tree_level(2).fractions == (Fraction(1, 2),)
-        assert tree_level(3).fractions == (Fraction(1, 3), Fraction(2, 3))
-        assert tree_level(4).fractions == (
+        assert tree_level(1) == (Fraction(0), Fraction(1))
+        assert tree_level(2) == (Fraction(1, 2),)
+        assert tree_level(3) == (Fraction(1, 3), Fraction(2, 3))
+        assert tree_level(4) == (
             Fraction(1, 4),
             Fraction(2, 5),
             Fraction(3, 5),
@@ -183,14 +183,14 @@ class TestTreeLevel:
 
     def test_levels_partition_by_term_sum(self):
         for k in range(2, 13):
-            for x in tree_level(k).fractions:
+            for x in tree_level(k):
                 assert level_index(x) == k
 
     def test_mediant_construction(self):
         # every level-k fraction is the mediant of its parents, which sit
         # at strictly shallower levels
         for k in range(2, 11):
-            for x in tree_level(k).fractions:
+            for x in tree_level(k):
                 lo, hi = farey_parents(x)
                 assert mediant(lo, hi) == x
                 assert level_index(lo) < k
@@ -341,8 +341,8 @@ class TestTreeChildren:
 
     def test_children_are_next_level_neighbours(self):
         for k in range(2, 12):
-            next_level = set(tree_level(k + 1).fractions)
-            for x in tree_level(k).fractions:
+            next_level = set(tree_level(k + 1))
+            for x in tree_level(k):
                 left, right = tree_children(x)
                 assert left < x < right
                 assert left in next_level and right in next_level
@@ -352,8 +352,8 @@ class TestTreeChildren:
         # the i-th fraction of a level has the (2i)-th and (2i+1)-th
         # fractions of the next level as its children (0-indexed)
         for k in range(2, 12):
-            below = tree_level(k + 1).fractions
-            for i, x in enumerate(tree_level(k).fractions):
+            below = tree_level(k + 1)
+            for i, x in enumerate(tree_level(k)):
                 assert tree_children(x) == (below[2 * i], below[2 * i + 1])
 
     def test_cf_parity_rule(self):
@@ -362,7 +362,7 @@ class TestTreeChildren:
         from harosgraph.exact import ContinuedFraction
 
         for k in range(2, 12):
-            for x in tree_level(k).fractions:
+            for x in tree_level(k):
                 terms = cf_expand(x).terms
                 left, right = tree_children(x)
                 plus = convergents(ContinuedFraction(terms[:-1] + (terms[-1] + 1,)))[-1]

@@ -1,7 +1,7 @@
 """The value classes keep the behaviour they had as frozen dataclasses.
 
-``ContinuedFraction``, ``SymbolicPath``, ``TreeLevel``, ``EnclosingBracket``,
-``HarosGraph`` and ``DegreeDistribution`` are plain classes on one base: the
+``ContinuedFraction``, ``SymbolicPath``, ``EnclosingBracket``, ``HarosGraph``
+and ``DegreeDistribution`` are plain classes on one base: the
 same repr text, equality, hashing, immutability, copying and ``match``
 patterns, and constructors that check what they are given.
 """
@@ -20,22 +20,15 @@ from harosgraph import (
     HarosGraph,
     NotRationalError,
     SymbolicPath,
-    TreeLevel,
     build,
     cf_form_distribution,
     symbolic_path,
-    tree_level,
 )
 
 # One instance of each class, with its repr as the frozen dataclasses printed it
 VALUES = [
     (ContinuedFraction((2, 3, 3)), "ContinuedFraction(terms=(2, 3, 3))"),
     (symbolic_path(Fraction(10, 23)), "SymbolicPath(runs=(('L', 2), ('R', 3), ('L', 2)))"),
-    (
-        tree_level(4),
-        "TreeLevel(index=4, fractions=(Fraction(1, 4), Fraction(2, 5), Fraction(3, 5), "
-        "Fraction(3, 4)))",
-    ),
     (
         EnclosingBracket(
             Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), BracketSide.UPPER_SUBINTERVAL
@@ -59,7 +52,6 @@ IDS = [type(value).__name__ for value, _ in VALUES]
 OTHERS = {
     ContinuedFraction: ContinuedFraction((2, 3)),
     SymbolicPath: symbolic_path(Fraction(1, 3)),
-    TreeLevel: tree_level(3),
     EnclosingBracket: EnclosingBracket(None, None, None, BracketSide.ELSEWHERE),
     HarosGraph: build(Fraction(1, 3)),
     DegreeDistribution: cf_form_distribution(Fraction(1, 3)),
@@ -67,7 +59,6 @@ OTHERS = {
 FIELDS = {
     ContinuedFraction: ("terms",),
     SymbolicPath: ("runs",),
-    TreeLevel: ("index", "fractions"),
     EnclosingBracket: ("lower", "pivot", "upper", "side"),
     HarosGraph: ("label", "degrees"),
     DegreeDistribution: ("counts", "denominator"),
@@ -84,8 +75,6 @@ def _unpack(value):
             return (terms,)
         case SymbolicPath(runs):
             return (runs,)
-        case TreeLevel(index, fractions):
-            return index, fractions
         case EnclosingBracket(lower, pivot, upper, side):
             return lower, pivot, upper, side
         case HarosGraph(label, degrees):
@@ -163,15 +152,12 @@ class TestValueClass:
         (SymbolicPath, (None,), "NoneType"),
         (HarosGraph, (0.5, "abc"), "float"),
         (HarosGraph, (Fraction(1, 2), None), "NoneType"),
-        (TreeLevel, (1.5, None), "float"),
-        (TreeLevel, (2, None), "NoneType"),
     ],
     ids=[
         "DegreeDistribution(None)", "DegreeDistribution([5, 6])",
         "SymbolicPath([5])", "SymbolicPath(['L'])", "SymbolicPath([('L', 1, 2)])",
         "SymbolicPath(None)",
         "HarosGraph(0.5, 'abc')", "HarosGraph(1/2, None)",
-        "TreeLevel(1.5, None)", "TreeLevel(2, None)",
     ],
 )
 def test_bad_constructor_input_is_a_package_type_error(cls, args, named):
@@ -184,7 +170,5 @@ def test_sequences_are_held_as_tuples():
     assert graph.degrees == (2, 3, 1) and isinstance(graph.degrees, tuple)
     degrees = build(Fraction(10, 23)).degrees
     assert HarosGraph(Fraction(10, 23), degrees).degrees is degrees
-    level = TreeLevel(2, [Fraction(1, 2)])
-    assert level.fractions == (Fraction(1, 2),) and isinstance(level.fractions, tuple)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         HarosGraph(Fraction(3, 2), (1, 1))
