@@ -1,5 +1,7 @@
 """Farey sequences, tree levels, descent words and interval location."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -180,6 +182,28 @@ class TestTreeLevel:
     def test_sizes(self):
         for k in range(2, 13):
             assert len(tree_level(k)) == 2 ** (k - 2)
+
+    def test_holds_distinct_fractions_in_increasing_order(self):
+        for k in range(1, 11):
+            level = tree_level(k)
+            assert type(level) is tuple
+            assert all(type(x) is Fraction for x in level)
+            assert list(level) == sorted(set(level))
+
+    @pytest.mark.parametrize(
+        "roundtrip",
+        [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_equal_and_stay_immutable(self, roundtrip):
+        # a level is a plain tuple: it copies, pickles and hashes as one,
+        # and cannot be changed in place
+        level = tree_level(5)
+        again = roundtrip(level)
+        assert again == level and type(again) is tuple
+        assert hash(again) == hash(level)
+        with pytest.raises(TypeError):
+            again[0] = Fraction(0)
 
     def test_levels_partition_by_term_sum(self):
         for k in range(2, 13):
